@@ -8,8 +8,17 @@ field average via fixed-point iteration.  Because the discrete Laplacian
 is symmetric under the finite-volume cell measure and the frozen
 nonlinear multiplier is real, the scheme conserves the cell-measure mass
 identically (up to the inner tolerance); that discrete mass is what the
-histories record.  The probe is one-sided evidence only: it perturbs one
-standing wave along one direction, nothing more.
+histories record.  This is the mass-exact midpoint scheme of
+Delfour-Fortin-Payre (J. Comput. Phys. 44, 1981).  The Crank-Nicolson
+matrix i/dt - A/2 is constant, so it is LU-factored once per run (LAPACK
+?gttrf) and every inner iteration only back-substitutes (?gttrs).
+
+A run ends in one of three ways, recorded as `EvolutionRecord.end_reason`:
+"completed" (the whole span was evolved), "blowup_cap" (sup|Phi| exceeded
+the cap) or "stalled" (the inner fixed point did not converge, or its
+iterate overflowed, so the step could not be taken).  The probe is
+one-sided evidence only: it perturbs one standing wave along one
+direction, nothing more.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .branch import BranchPoint
 from .core import (
@@ -51,7 +61,11 @@ class ComplexField:
 
 @dataclass(frozen=True)
 class EvolutionRecord:
-    """Sampled conservation and orbit-distance histories."""
+    """Sampled conservation and orbit-distance histories.
+
+    `end_reason` says why the run ended: "completed", "blowup_cap" or
+    "stalled"; `blowup_time` is set for the latter two.
+    """
 
     times: np.ndarray
     mass_history: np.ndarray
@@ -59,6 +73,7 @@ class EvolutionRecord:
     orbit_distance_history: np.ndarray | None
     final: ComplexField
     blowup_time: float | None = None
+    end_reason: str = "completed"
 
 
 class _Discretization:
@@ -82,6 +97,19 @@ class _Discretization:
         out[:-1] += self.upper * y[1:]
         out[1:] += self.lower * y[:-1]
         return out
+
+    def cn_solver(self, dt):
+        """Return b -> x solving (i/dt - A/2) x = b, overwriting b; the
+        matrix is factored here, once, with the same pivoted elimination
+        as LAPACK ?gtsv."""
+        dl, d, du, du2, ipiv, info = zgttrf(
+            -0.5 * self.lower, 1j / dt - 0.5 * self.diag, -0.5 * self.upper)
+        if info != 0:
+            raise np.linalg.LinAlgError("singular Crank-Nicolson matrix")
+
+        def solve(b):
+            return zgttrs(dl, d, du, du2, ipiv, b, overwrite_b=1)[0]
+        return solve
 
     def mass(self, y):
         return self.omega * float(self.vol @ np.abs(y) ** 2)
@@ -118,12 +146,9 @@ def orbit_distance(field: ComplexField, U: RadialProfile) -> float:
     if field.grid.n_nodes != U.grid.n_nodes:
         raise ParameterError("field and reference live on different grids")
     disc = _Discretization(field.grid, p=3.0)  # p unused in the metric
-    a = _interior(field.values)
-    b = _interior(U.values)
-    na = disc.h1_inner(a, a).real
-    nb = disc.h1_inner(b, b).real
-    cross = abs(disc.h1_inner(a, b))
-    return math.sqrt(max(na + nb - 2.0 * cross, 0.0))
+    ref = _interior(U.values)
+    return _distance(disc, _interior(field.values), ref,
+                     disc.h1_inner(ref, ref).real)
 
 
 def evolve(initial: ComplexField, params: ProblemParams, dt: float, T: float,
@@ -134,52 +159,52 @@ def evolve(initial: ComplexField, params: ProblemParams, dt: float, T: float,
 
     dt may be negative (backward evolution); T is the total evolved span.
     Histories are sampled every `sample_every` steps plus the endpoints.
-    Raises StepSizeError if the inner fixed point stalls and BlowUpError
-    (carrying the partial record) if sup|Phi| exceeds the cap.
+    Raises StepSizeError if the inner fixed point stalls or its iterate
+    overflows, and BlowUpError if sup|Phi| exceeds the cap; both carry the
+    partial record.
     """
     if dt == 0.0 or T < abs(dt):
         raise ParameterError("need dt != 0 and T >= |dt|")
-    if sample_every < 1:
-        raise ParameterError("sample_every must be >= 1")
+    if sample_every < 1 or max_inner < 1:
+        raise ParameterError("sample_every and max_inner must be >= 1")
     p = params.p
     disc = _Discretization(initial.grid, p)
-    m = disc.m
     y = _interior(initial.values)
     cap = blowup_cap if blowup_cap is not None else \
         DEFAULT_BLOWUP_FACTOR * float(np.max(np.abs(y)) + 1e-300)
 
     idt = 1j / dt
-    ab = np.zeros((3, m), dtype=complex)
-    ab[0, 1:] = -0.5 * disc.upper
-    ab[1, :] = idt - 0.5 * disc.diag
-    ab[2, :-1] = -0.5 * disc.lower
+    cn_solve = disc.cn_solver(dt)
 
     n_steps = int(round(T / abs(dt)))
-    ref_vals = None if reference is None else _interior(reference.values).real
-
     times = [initial.time]
     masses = [disc.mass(y)]
     energies = [disc.energy(y)]
     dists = None
     if reference is not None:
-        dists = [_distance(disc, y, ref_vals)]
+        ref_vals = _interior(reference.values).real
+        ref_norm2 = disc.h1_inner(ref_vals, ref_vals).real
+        dists = [_distance(disc, y, ref_vals, ref_norm2)]
 
     t = initial.time
     for step in range(1, n_steps + 1):
         rhs_lin = idt * y + 0.5 * disc.apply(y)
         y_new = y.copy()
-        norm_ref = max(1.0, float(np.max(np.abs(y))))
-        for _ in range(max_inner):
-            ybar = 0.5 * (y + y_new)
-            nl = np.abs(ybar) ** (p - 1.0) * ybar
-            y_next = solve_banded((1, 1), ab, rhs_lin - nl)
-            delta = float(np.max(np.abs(y_next - y_new)))
-            y_new = y_next
-            if delta <= inner_tol * norm_ref:
-                break
-        else:
+        tol = inner_tol * max(1.0, float(np.max(np.abs(y))))
+        # A diverging iterate overflows to inf/NaN; that ends the step like
+        # a stall (NaN fails `delta <= tol`), so its warnings stay in here.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(max_inner):
+                ybar = 0.5 * (y + y_new)
+                nl = np.abs(ybar) ** (p - 1.0) * ybar
+                y_next = cn_solve(rhs_lin - nl)
+                delta = float(np.max(np.abs(y_next - y_new)))
+                y_new = y_next
+                if delta <= tol or not math.isfinite(delta):
+                    break
+        if not delta <= tol:
             partial = _build_record(initial.grid, times, masses, energies,
-                                    dists, y, t, blowup_time=t)
+                                    dists, y, t, end_reason="stalled")
             raise StepSizeError(
                 "inner fixed point stalled; reduce dt",
                 record=partial, dt=dt, time=t, residual=delta,
@@ -193,24 +218,25 @@ def evolve(initial: ComplexField, params: ProblemParams, dt: float, T: float,
             masses.append(disc.mass(y))
             energies.append(disc.energy(y))
             if dists is not None:
-                dists.append(_distance(disc, y, ref_vals))
+                dists.append(_distance(disc, y, ref_vals, ref_norm2))
         if hit_cap:
             record = _build_record(initial.grid, times, masses, energies,
-                                   dists, y, t, blowup_time=t)
+                                   dists, y, t, end_reason="blowup_cap")
             raise BlowUpError(f"sup|Phi| = {sup:.3e} exceeded cap {cap:.3e}",
                               hit_time=t, record=record)
     return _build_record(initial.grid, times, masses, energies, dists, y, t,
-                         blowup_time=None)
+                         end_reason="completed")
 
 
-def _distance(disc, y, ref_vals):
+def _distance(disc, y, ref_vals, ref_norm2):
+    """H^1 orbit distance of y to the real profile ref_vals, whose squared
+    norm ref_norm2 the caller computes once."""
     na = disc.h1_inner(y, y).real
-    nb = disc.h1_inner(ref_vals, ref_vals).real
     cross = abs(disc.h1_inner(y, ref_vals))
-    return math.sqrt(max(na + nb - 2.0 * cross, 0.0))
+    return math.sqrt(max(na + ref_norm2 - 2.0 * cross, 0.0))
 
 
-def _build_record(grid, times, masses, energies, dists, y, t, blowup_time):
+def _build_record(grid, times, masses, energies, dists, y, t, end_reason):
     full = np.zeros(grid.n_nodes, dtype=complex)
     full[:-1] = y
     return EvolutionRecord(
@@ -219,7 +245,8 @@ def _build_record(grid, times, masses, energies, dists, y, t, blowup_time):
         energy_history=np.array(energies),
         orbit_distance_history=None if dists is None else np.array(dists),
         final=ComplexField(grid, full, float(t)),
-        blowup_time=blowup_time,
+        blowup_time=None if end_reason == "completed" else float(t),
+        end_reason=end_reason,
     )
 
 

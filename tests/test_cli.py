@@ -155,3 +155,12 @@ class TestProbeCommand:
         assert main(["probe", "--config", cfg, "--out", str(out)]) == 3
         assert any(line.startswith("#blowup") for line
                    in out.read_text().splitlines())
+
+    def test_overflowing_probe_exit_code(self, tmp_path):
+        # the supercritical fixed-point iterate overflows at this delta
+        cfg = write_cfg(tmp_path / "c.cfg", N=3, p=3.0, lam=5.0, delta=5.61e-4,
+                        T=50.0, dt=2.5e-4, n_nodes=1025, sample_every=40)
+        out = tmp_path / "p.csv"
+        assert main(["probe", "--config", cfg, "--out", str(out)]) == 3
+        assert any(line.startswith("#blowup") for line
+                   in out.read_text().splitlines())

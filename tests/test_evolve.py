@@ -2,15 +2,21 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.linalg import solve_banded
 
 from nlsball import (
     ComplexField,
     ProblemParams,
     ShootConfig,
     evolve,
+    make_grid,
     normalize,
     orbit_distance,
     principal_eigenpair,
@@ -36,12 +42,35 @@ def standing_wave(stable_point):
     return discrete_standing_wave(stable_point)
 
 
+@pytest.fixture(scope="module")
+def supercritical_point():
+    """alpha ~ 20 > alpha* ~ 13.2 on S+ for N=3, p=3 (criterion 12)."""
+    prof = solve_ball_profile(P33, 5.0, +1, ShootConfig(n_nodes=1025))
+    return normalize(prof, 5.0, +1, P33)
+
+
 class TestDiscretization:
     def test_grad_form_matches_operator_pairing(self, standing_wave):
         disc = _Discretization(standing_wave.grid, 3.0)
         y = standing_wave.values[:-1].astype(complex)
         pairing = float((disc.vol * disc.apply(y).real) @ y.real) * disc.omega
         assert pairing == pytest.approx(disc.grad_form(y), rel=1e-12)
+
+    @pytest.mark.parametrize("N", [1, 3])
+    @pytest.mark.parametrize("dt", [1e-3, -2.5e-4])
+    def test_cn_solver_matches_solve_banded(self, N, dt):
+        disc = _Discretization(make_grid(ProblemParams(N=N, p=3.0), 1025, 1.0),
+                               3.0)
+        ab = np.zeros((3, disc.m), dtype=complex)
+        ab[0, 1:] = -0.5 * disc.upper
+        ab[1, :] = 1j / dt - 0.5 * disc.diag
+        ab[2, :-1] = -0.5 * disc.lower
+        solve = disc.cn_solver(dt)
+        rng = np.random.default_rng(N)
+        for _ in range(3):
+            b = rng.normal(size=disc.m) + 1j * rng.normal(size=disc.m)
+            assert np.array_equal(solve(b.copy()),
+                                  solve_banded((1, 1), ab, b))
 
 
 class TestEvolve:
@@ -52,6 +81,8 @@ class TestEvolve:
             evolve(field, P13, 0.0, 1.0)
         with pytest.raises(ParameterError):
             evolve(field, P13, 0.5, 0.1)
+        with pytest.raises(ParameterError):
+            evolve(field, P13, 1e-3, 1.0, max_inner=0)
 
     def test_boundary_enforced(self, standing_wave):
         bad = standing_wave.values.astype(complex).copy()
@@ -114,7 +145,25 @@ class TestEvolve:
         with pytest.raises(BlowUpError) as exc:
             evolve(field, P13, 1e-3, 1.0, blowup_cap=cap)
         assert exc.value.record.blowup_time is not None
+        assert exc.value.record.end_reason == "blowup_cap"
         assert exc.value.hit_time <= 1.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(N=st.sampled_from([1, 2, 3]),
+           p=st.sampled_from([2.0, 3.0, 4.5]),
+           dt=st.sampled_from([1e-3, -1e-3, 2.5e-4]),
+           re=arrays(np.float64, 64, elements=st.floats(-2.0, 2.0)),
+           im=arrays(np.float64, 64, elements=st.floats(-2.0, 2.0)))
+    def test_step_conserves_mass(self, N, p, dt, re, im):
+        grid = make_grid(ProblemParams(N=N, p=p), 65, 1.0)
+        vals = np.append(re + 1j * im, 0.0)
+        disc = _Discretization(grid, p)
+        m0 = disc.mass(vals[:-1])
+        rec = evolve(ComplexField(grid, vals, 0.0), ProblemParams(N=N, p=p),
+                     dt, abs(dt))
+        assert rec.end_reason == "completed"
+        if m0 > 0.0:
+            assert abs(rec.mass_history[-1] / m0 - 1.0) <= 1e-12
 
 
 class TestOrbitDistance:
@@ -165,14 +214,28 @@ class TestStabilityProbe:
     def test_stable_point_bounded(self, stable_point):
         rec = stability_probe(stable_point, 1e-3, 10.0, 2e-3, sample_every=200)
         assert np.max(rec.orbit_distance_history) < 1e-2
+        assert rec.end_reason == "completed"
+        assert rec.blowup_time is None
 
-    def test_supercritical_departure(self):
-        cfg = ShootConfig(n_nodes=1025)
-        prof = solve_ball_profile(P33, 5.0, +1, cfg)
-        pt = normalize(prof, 5.0, +1, P33)
-        rec = stability_probe(pt, 1e-3, 50.0, 2.5e-4, sample_every=40)
+    def test_supercritical_departure(self, supercritical_point):
+        rec = stability_probe(supercritical_point, 1e-3, 50.0, 2.5e-4,
+                              sample_every=40)
         d = rec.orbit_distance_history
         assert np.max(d) / d[0] >= 10.0
+        # the fixed point stalls (sup|Phi| ~ 79) before the cap is reached
+        assert rec.end_reason == "stalled"
+        assert rec.blowup_time == pytest.approx(0.15425)
+
+    def test_overflowing_iterate_ends_as_stall(self, supercritical_point):
+        # at this delta the inner iterate overflows to inf/NaN before the
+        # stall check; the partial record must come back, warning-free
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rec = stability_probe(supercritical_point, 5.61e-4, 50.0, 2.5e-4,
+                                  sample_every=40)
+        assert rec.end_reason == "stalled"
+        assert rec.blowup_time == pytest.approx(0.1725)
+        assert np.all(np.isfinite(rec.final.values))
 
     def test_focusing_only(self, branch_defoc):
         with pytest.raises(ParameterError):
