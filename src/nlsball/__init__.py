@@ -63,7 +63,6 @@ from .verify import (
 from .evolve import (
     ComplexField,
     EvolutionRecord,
-    evolve,
     orbit_distance,
     stability_probe,
 )

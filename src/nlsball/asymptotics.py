@@ -19,12 +19,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .branch import BranchPoint
-from .core import (
-    EigenPair,
-    ProblemParams,
-    RadialProfile,
-    radial_laplacian_tridiag,
-)
+from .core import EigenPair, ProblemParams, RadialProfile
 from .errors import DomainError, ParameterError, SolverError
 from .shoot import WholeSpaceGroundState, rescaled_profile
 
@@ -73,8 +68,9 @@ def solve_psi(params: ProblemParams, eig: EigenPair) -> APExpansion:
     of a solvable rank-one-deficient problem.
     """
     grid = eig.phi1.grid
-    lower, diag, upper, vol = radial_laplacian_tridiag(grid)
-    m = len(diag)
+    op = grid.operator
+    vol = op.vol
+    m = len(vol)
     p = params.p
     phi = eig.phi1.values[:m]
     # solvability constant in the operator's own inner product
@@ -82,7 +78,8 @@ def solve_psi(params: ProblemParams, eig: EigenPair) -> APExpansion:
     rhs = phi**p - c_solv * phi
 
     A = scipy.sparse.diags(
-        [lower, diag - eig.lambda1, upper], offsets=[-1, 0, 1], format="csc"
+        [op.lower, op.diag - eig.lambda1, op.upper], offsets=[-1, 0, 1],
+        format="csc",
     )
     w = (vol * phi).reshape(-1, 1)
     bordered = scipy.sparse.bmat(
@@ -108,9 +105,7 @@ def solve_psi(params: ProblemParams, eig: EigenPair) -> APExpansion:
                           residual=float(np.max(np.abs(res))))
     psi_vals = np.zeros(grid.n_nodes)
     psi_vals[:m] = sol[:m]
-    h = grid.spacing
-    bnd = (psi_vals[-3] - 4.0 * psi_vals[-2]) / (2.0 * h)
-    psi = RadialProfile(grid, psi_vals, float(bnd))
+    psi = RadialProfile(grid, psi_vals, op.boundary_slope(psi_vals))
     c_ps = grid.integrate(eig.phi1.values**p * psi_vals)
     # report the constant the discrete equation actually carries; it agrees
     # with int phi^{p+1} dx up to the discretization bias

@@ -64,7 +64,7 @@ class BranchPoint:
 
 @dataclass(frozen=True)
 class BranchDerivative:
-    """Centered-difference derivatives with respect to alpha at one point."""
+    """Derivatives with respect to alpha at one branch point."""
 
     v: RadialProfile        # du/dalpha
     mu_prime: float
@@ -103,17 +103,25 @@ class Branch:
         return len(self.points)
 
     def derivative(self, i: int) -> BranchDerivative:
-        """Nonuniform centered difference in alpha at interior index i."""
+        """Derivatives in alpha at interior index i: nonuniform centered
+        differences along lam, the parameter the points were solved at,
+        divided by dalpha/dlam.  Near the endpoint u - phi_1 grows like
+        sqrt(alpha - lambda_1), which differences in alpha resolve poorly."""
         if not (1 <= i <= len(self.points) - 2):
             raise ParameterError(f"index {i} has no two neighbors")
         lo, mid, hi = self.points[i - 1], self.points[i], self.points[i + 1]
-        hm = mid.alpha - lo.alpha
-        hp = hi.alpha - mid.alpha
+        hm = mid.lam - lo.lam
+        hp = hi.lam - mid.lam
 
-        def diff(fm, f0, fp):
+        def diff_lam(fm, f0, fp):
             return (hm * hm * fp - hp * hp * fm + (hp * hp - hm * hm) * f0) / (
                 hm * hp * (hm + hp)
             )
+
+        alpha_lam = diff_lam(lo.alpha, mid.alpha, hi.alpha)
+
+        def diff(fm, f0, fp):
+            return diff_lam(fm, f0, fp) / alpha_lam
 
         vals = diff(lo.profile.values, mid.profile.values, hi.profile.values)
         vr1 = diff(lo.ur1, mid.ur1, hi.ur1)
@@ -121,7 +129,7 @@ class Branch:
         return BranchDerivative(
             v=v,
             mu_prime=float(diff(lo.mu, mid.mu, hi.mu)),
-            lambda_prime=float(diff(lo.lam, mid.lam, hi.lam)),
+            lambda_prime=float(1.0 / alpha_lam),
             M_prime=float(diff(lo.M_alpha, mid.M_alpha, hi.M_alpha)),
             vr1=float(vr1),
         )

@@ -119,10 +119,6 @@ def _params(cfg) -> ProblemParams:
     return ProblemParams(N=n_dim, p=p)
 
 
-def _opt_float(text: str) -> float:
-    return float(text)
-
-
 EIG_SCHEMA = {
     "N": (int, _MISSING),
     "p": (float, None),
@@ -176,7 +172,7 @@ PROBE_SCHEMA = {
     "dt": (float, 1e-3),
     "n_nodes": (int, 1025),
     "sample_every": (int, 10),
-    "blowup_cap": (_opt_float, None),
+    "blowup_cap": (float, None),
     "out": (str, None),
 }
 

@@ -3,10 +3,12 @@ and the principal Dirichlet eigenpair of the unit ball.
 
 All integrals over the ball B_R in R^N reduce to weighted line integrals,
     int_{B_R} f dx = omega_N * int_0^R f(r) r^{N-1} dr,
-with omega_N = |boundary of B_1|.  Quadrature weights are interpolatory
-(Simpson-type, fourth order on uniform grids); the Laplacian is the
-second-order conservative three-point stencil, symmetric with respect to
-the finite-volume cell measure.
+with omega_N = |boundary of B_1|.  Grids are uniform and quadrature is
+composite Simpson (fourth order).  Each grid carries one RadialOperator:
+the second-order conservative three-point stencil, symmetric with respect
+to the finite-volume cell measure, with its matvec, its shifted
+tridiagonal solve and the boundary slope u_r(R) of the integrated
+equation.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -104,43 +106,31 @@ class ProblemParams:
         return surface_measure(self.N)
 
 
-def _interpolatory_weights(nodes: np.ndarray, n_dim: int) -> np.ndarray:
-    """Weights w with sum(w*f(nodes)) ~ int f(r) r^{N-1} dr.
+def _simpson_weights(nodes: np.ndarray, n_dim: int) -> np.ndarray:
+    """Weights w with sum(w*f(nodes)) ~ int f(r) r^{N-1} dr on uniform
+    nodes.
 
-    Composite Simpson applied to the weighted integrand f * r^{N-1}: panels
-    of two intervals, with a four-node Newton-Cotes closing panel when the
+    Composite Simpson applied to the weighted integrand f * r^{N-1}, with a
+    Simpson 3/8 closing panel over the last three intervals when the
     interval count is odd.  Exact whenever f * r^{N-1} is a cubic on each
-    panel, so the moments int r^k dr (k <= N+2 per panel degree) come out
-    exactly; fourth-order otherwise.  Supports mildly graded nodes.
+    panel; fourth order otherwise.
     """
-    n = len(nodes)
-    w = np.zeros(n)
-
-    def panel(idx):
-        xs = nodes[list(idx)]
-        # interpolatory weights for int_{xs[0]}^{xs[-1]} P(r) dr on the
-        # panel's nodes, computed against monomials centered at the midpoint
-        a, b = xs[0], xs[-1]
-        c = 0.5 * (a + b)
-        k = len(xs)
-        V = np.vander(xs - c, k, increasing=True).T
-        mom = np.array(
-            [((b - c) ** (j + 1) - (a - c) ** (j + 1)) / (j + 1) for j in range(k)]
-        )
-        return np.linalg.solve(V, mom)
-
-    m = n - 1
+    m = len(nodes) - 1
+    h = nodes[-1] / m
+    w = np.zeros(m + 1)
     stop = m if m % 2 == 0 else m - 3
-    for i in range(0, stop, 2):
-        w[i : i + 3] += panel((i, i + 1, i + 2))
+    w[0:stop:2] += h / 3.0
+    w[1:stop:2] += 4.0 * h / 3.0
+    w[2:stop + 1:2] += h / 3.0
     if m % 2 == 1:
-        w[m - 3 : m + 1] += panel((m - 3, m - 2, m - 1, m))
+        w[m - 3:] += 3.0 * h / 8.0 * np.array([1.0, 3.0, 3.0, 1.0])
     return w * nodes ** (n_dim - 1)
 
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Nodes 0 = r_0 < ... < r_{n-1} = R with r^{N-1}-weighted quadrature."""
+    """Uniform nodes 0 = r_0 < ... < r_{n-1} = R with r^{N-1}-weighted
+    quadrature."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -171,35 +161,71 @@ class RadialGrid:
         """omega_N * int_0^R samples(r) r^{N-1} dr = integral over the ball."""
         return self.omega_n * self.quad(samples)
 
-    def cell_volumes(self) -> np.ndarray:
-        """Finite-volume cell measures (r_{i+1/2}^N - r_{i-1/2}^N)/N.
-
-        The conservative Laplacian below is symmetric with respect to this
-        diagonal measure; it is itself a second-order quadrature rule.
-        """
-        r = self.nodes
-        faces = np.empty(len(r) + 1)
-        faces[0] = r[0]
-        faces[-1] = r[-1]
-        faces[1:-1] = 0.5 * (r[1:] + r[:-1])
-        return (faces[1:] ** self.n_dim - faces[:-1] ** self.n_dim) / self.n_dim
+    @cached_property
+    def operator(self) -> RadialOperator:
+        """The grid's discrete radial Laplacian, built on first use."""
+        return RadialOperator(self)
 
 
-def make_grid(params: ProblemParams, n_nodes: int, R: float = 1.0,
-              grading: float = 1.0) -> RadialGrid:
-    """Uniform (default) or power-graded radial grid on [0, R]."""
+class RadialOperator:
+    """Conservative three-point discretization A of -Laplace (radial part).
+
+    A acts on the unknowns at nodes 0..n-2; the last node is a Dirichlet
+    boundary.  Row 0 encodes the r=0 symmetry u'(0)=0 through the flux
+    form.  `vol` holds the finite-volume cell measures
+    (r_{i+1/2}^N - r_{i-1/2}^N)/N and `cond` the face conductances
+    r_{i+1/2}^{N-1}/h, the boundary face included; A is symmetric under
+    the cell measure: vol_i A_ij = vol_j A_ji.
+    """
+
+    def __init__(self, grid: RadialGrid):
+        r = grid.nodes
+        nd = grid.n_dim
+        faces = np.concatenate(([r[0]], 0.5 * (r[1:] + r[:-1]), [r[-1]]))
+        # no reference back to the grid: a cycle would keep every grid's
+        # arrays alive until the cyclic collector runs
+        self.weights = grid.weights
+        self.boundary_area = grid.radius ** (nd - 1)  # R^{N-1}
+        self.vol = (faces[1:-1] ** nd - faces[:-2] ** nd) / nd
+        self.cond = faces[1:-1] ** (nd - 1) / np.diff(r)
+        inflow = np.concatenate(([0.0], self.cond[:-1]))
+        self.diag = (inflow + self.cond) / self.vol
+        self.lower = -self.cond[:-1] / self.vol[1:]
+        self.upper = -self.cond[:-1] / self.vol[:-1]
+
+    def apply(self, y: np.ndarray) -> np.ndarray:
+        """A y on the unknowns; a full nodal array's last entry is ignored."""
+        y = y[: len(self.diag)]
+        out = self.diag * y
+        out[:-1] += self.upper * y[1:]
+        out[1:] += self.lower * y[:-1]
+        return out
+
+    def solve(self, shift, rhs: np.ndarray) -> np.ndarray:
+        """x with (A + diag(shift)) x = rhs; `shift` is a scalar or one
+        value per unknown."""
+        ab = np.zeros((3, len(self.diag)))
+        ab[0, 1:] = self.upper
+        ab[1, :] = self.diag + shift
+        ab[2, :-1] = self.lower
+        return solve_banded((1, 1), ab, rhs)
+
+    def boundary_slope(self, values: np.ndarray) -> float:
+        """u_r(R) of a Dirichlet profile from the integrated equation
+        -R^{N-1} u_r(R) = int_0^R (-Laplace u) r^{N-1} dr; -Laplace u
+        vanishes at the boundary node for every equation solved here."""
+        flux = float(self.weights @ np.append(self.apply(values), 0.0))
+        return -flux / self.boundary_area
+
+
+def make_grid(params: ProblemParams, n_nodes: int, R: float = 1.0) -> RadialGrid:
+    """Uniform radial grid on [0, R]."""
     if n_nodes < 16:
         raise ParameterError(f"n_nodes must be >= 16, got {n_nodes}")
     if not (R > 0.0 and math.isfinite(R)):
         raise ParameterError(f"radius must be positive and finite, got {R}")
-    if not (0.25 <= grading <= 4.0):
-        raise ParameterError(f"grading exponent {grading} outside [0.25, 4]")
-    s = np.linspace(0.0, 1.0, n_nodes)
-    nodes = R * s**grading if grading != 1.0 else R * s
-    weights = _interpolatory_weights(nodes, params.N)
-    if weights.min() < -1e-15 * weights.max():
-        raise ParameterError("grading too strong: negative quadrature weights")
-    return RadialGrid(nodes=nodes, weights=np.maximum(weights, 0.0),
+    nodes = R * np.linspace(0.0, 1.0, n_nodes)
+    return RadialGrid(nodes=nodes, weights=_simpson_weights(nodes, params.N),
                       omega_n=params.omega, n_dim=params.N)
 
 
@@ -239,55 +265,6 @@ def grad_norm_sq(profile: RadialProfile) -> float:
     return profile.grid.integrate(d * d)
 
 
-def radial_laplacian_tridiag(grid: RadialGrid):
-    """Conservative three-point discretization A of -Laplace (radial part).
-
-    Returns (lower, diag, upper, vol) for the operator acting on the
-    unknowns at nodes 0..n-2 (the last node is a Dirichlet boundary).  Row
-    0 encodes the r=0 symmetry u'(0)=0 through the flux form; the matrix is
-    symmetric under the cell measure `vol`:  vol_i A_ij = vol_j A_ji.
-    """
-    r = grid.nodes
-    n = grid.n_nodes
-    m = n - 1  # unknowns
-    nd = grid.n_dim
-    vol = grid.cell_volumes()[:m]
-    faces = 0.5 * (r[1:] + r[:-1])  # n-1 interior faces
-    h = np.diff(r)
-    cond = faces ** (nd - 1) / h  # face conductances
-    diag = np.zeros(m)
-    lower = np.zeros(m - 1)
-    upper = np.zeros(m - 1)
-    diag[0] = cond[0] / vol[0]
-    upper[0] = -cond[0] / vol[0]
-    for i in range(1, m):
-        diag[i] = (cond[i - 1] + cond[i]) / vol[i]
-        lower[i - 1] = -cond[i - 1] / vol[i]
-        if i < m - 1:
-            upper[i] = -cond[i] / vol[i]
-    # upper[m-1] would couple to the Dirichlet node and is dropped
-    return lower, diag, upper, vol
-
-
-def apply_radial_laplacian(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
-    """(-Laplace u) at nodes 0..n-2 for a Dirichlet profile (u[n-1]=0)."""
-    lower, diag, upper, _ = radial_laplacian_tridiag(grid)
-    y = values[: grid.n_nodes - 1]
-    out = diag * y
-    out[:-1] += upper * y[1:]
-    out[1:] += lower * y[:-1]
-    return out
-
-
-def _banded(lower, diag, upper):
-    m = len(diag)
-    ab = np.zeros((3, m), dtype=np.result_type(diag, 1.0))
-    ab[0, 1:] = upper
-    ab[1, :] = diag
-    ab[2, :-1] = lower
-    return ab
-
-
 @dataclass(frozen=True)
 class EigenPair:
     """Principal Dirichlet eigenvalue and positive L2-normalized eigenfunction."""
@@ -303,29 +280,22 @@ def principal_eigenpair(params: ProblemParams, grid: RadialGrid,
     Inverse power iteration on the conservative tridiagonal operator,
     stopping when the Rayleigh-quotient residual falls below `tol`.
     """
-    lower, diag, upper, vol = radial_laplacian_tridiag(grid)
-    ab = _banded(lower, diag, upper)
-    m = len(diag)
-
-    def matvec(x):
-        out = diag * x
-        out[:-1] += upper * x[1:]
-        out[1:] += lower * x[:-1]
-        return out
-
+    op = grid.operator
+    vol = op.vol
+    m = len(vol)
     x = 1.0 - grid.nodes[:m] ** 2  # smooth positive seed
     x /= math.sqrt(vol @ x**2)
     # the attainable residual floor is ~eps * ||A||; iterate the vector all
     # the way down to it (the Rayleigh stall guard stops at roundoff)
-    op_scale = float(np.max(np.abs(diag)))
+    op_scale = float(np.max(np.abs(op.diag)))
     floor = 2.0 * np.finfo(float).eps * op_scale
     theta = float("nan")
     stall = 0
     res = math.inf
     for it in range(max_iter):
-        y = solve_banded((1, 1), ab, x)
+        y = op.solve(0.0, x)
         y /= math.sqrt(vol @ y**2)
-        Ay = matvec(y)
+        Ay = op.apply(y)
         theta_new = float(vol @ (y * Ay))
         res_new = math.sqrt(float(vol @ (Ay - theta_new * y) ** 2))
         moved = abs(theta_new - theta) if it else math.inf
@@ -354,6 +324,5 @@ def principal_eigenpair(params: ProblemParams, grid: RadialGrid,
     # normalize with the public quadrature so that int phi^2 dx = 1 exactly
     nrm = math.sqrt(grid.integrate(full**2))
     full /= nrm
-    h = grid.spacing
-    bnd = (full[-3] - 4.0 * full[-2]) / (2.0 * h)
+    bnd = op.boundary_slope(full)
     return EigenPair(lambda1=theta, phi1=RadialProfile(grid, full, bnd))

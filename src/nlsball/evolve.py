@@ -3,15 +3,16 @@
 used as an empirical orbital-stability probe for standing waves
 e^{i lambda t} U.
 
-The stepper is Crank-Nicolson with the nonlinearity evaluated at the
-field average via fixed-point iteration.  Because the discrete Laplacian
-is symmetric under the finite-volume cell measure and the frozen
-nonlinear multiplier is real, the scheme conserves the cell-measure mass
-identically (up to the inner tolerance); that discrete mass is what the
-histories record.  This is the mass-exact midpoint scheme of
-Delfour-Fortin-Payre (J. Comput. Phys. 44, 1981).  The Crank-Nicolson
-matrix i/dt - A/2 is constant, so it is LU-factored once per run (LAPACK
-?gttrf) and every inner iteration only back-substitutes (?gttrs).
+The stepper is Crank-Nicolson on the grid's RadialOperator A, with the
+nonlinearity evaluated at the field average via fixed-point iteration.
+Because A is symmetric under the finite-volume cell measure and the
+frozen nonlinear multiplier is real, the scheme conserves the cell-measure
+mass identically (up to the inner tolerance); that discrete mass, and the
+energy built on the operator's face conductances, are what the histories
+record.  This is the mass-exact midpoint scheme of Delfour-Fortin-Payre
+(J. Comput. Phys. 44, 1981).  The Crank-Nicolson matrix i/dt - A/2 is
+constant, so it is LU-factored once per run (LAPACK ?gttrf) and every
+inner iteration only back-substitutes (?gttrs).
 
 A run ends in one of three ways, recorded as `EvolutionRecord.end_reason`:
 "completed" (the whole span was evolved), "blowup_cap" (sup|Phi| exceeded
@@ -27,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .branch import BranchPoint
@@ -36,7 +36,6 @@ from .core import (
     RadialGrid,
     RadialProfile,
     principal_eigenpair,
-    radial_laplacian_tridiag,
 )
 from .errors import BlowUpError, ParameterError, StepSizeError
 
@@ -76,60 +75,43 @@ class EvolutionRecord:
     end_reason: str = "completed"
 
 
-class _Discretization:
-    """Cached operator pieces for one grid and exponent."""
+def _cn_solver(op, dt):
+    """Return b -> x solving (i/dt - A/2) x = b, overwriting b; the matrix
+    is factored here, once, with the same pivoted elimination as LAPACK
+    ?gtsv."""
+    dl, d, du, du2, ipiv, info = zgttrf(
+        -0.5 * op.lower, 1j / dt - 0.5 * op.diag, -0.5 * op.upper)
+    if info != 0:
+        raise np.linalg.LinAlgError("singular Crank-Nicolson matrix")
 
-    def __init__(self, grid: RadialGrid, p: float):
-        self.grid = grid
-        self.p = p
-        lower, diag, upper, vol = radial_laplacian_tridiag(grid)
-        self.lower, self.diag, self.upper = lower, diag, upper
-        self.vol = vol
-        self.m = len(diag)
-        r = grid.nodes
-        faces = 0.5 * (r[1:] + r[:-1])
-        h = np.diff(r)
-        self.cond = faces ** (grid.n_dim - 1) / h  # one per face, incl. boundary
-        self.omega = grid.omega_n
+    def solve(b):
+        return zgttrs(dl, d, du, du2, ipiv, b, overwrite_b=1)[0]
+    return solve
 
-    def apply(self, y):
-        out = self.diag * y
-        out[:-1] += self.upper * y[1:]
-        out[1:] += self.lower * y[:-1]
-        return out
 
-    def cn_solver(self, dt):
-        """Return b -> x solving (i/dt - A/2) x = b, overwriting b; the
-        matrix is factored here, once, with the same pivoted elimination
-        as LAPACK ?gtsv."""
-        dl, d, du, du2, ipiv, info = zgttrf(
-            -0.5 * self.lower, 1j / dt - 0.5 * self.diag, -0.5 * self.upper)
-        if info != 0:
-            raise np.linalg.LinAlgError("singular Crank-Nicolson matrix")
+def _mass(grid, y):
+    return grid.omega_n * float(grid.operator.vol @ np.abs(y) ** 2)
 
-        def solve(b):
-            return zgttrs(dl, d, du, du2, ipiv, b, overwrite_b=1)[0]
-        return solve
 
-    def mass(self, y):
-        return self.omega * float(self.vol @ np.abs(y) ** 2)
+def _grad_form(grid, y):
+    cond = grid.operator.cond
+    d = np.abs(np.diff(y)) ** 2
+    return grid.omega_n * (float(cond[:-1] @ d) + cond[-1] * abs(y[-1]) ** 2)
 
-    def grad_form(self, y):
-        d = np.abs(np.diff(y)) ** 2
-        return self.omega * (float(self.cond[: self.m - 1] @ d)
-                             + self.cond[self.m - 1] * abs(y[-1]) ** 2)
 
-    def energy(self, y):
-        pot = self.omega * float(self.vol @ np.abs(y) ** (self.p + 1.0))
-        return 0.5 * self.grad_form(y) - pot / (self.p + 1.0)
+def _energy(grid, p, y):
+    pot = grid.omega_n * float(grid.operator.vol @ np.abs(y) ** (p + 1.0))
+    return 0.5 * _grad_form(grid, y) - pot / (p + 1.0)
 
-    def h1_inner(self, a, b):
-        da = np.diff(a)
-        db = np.diff(b)
-        grad = complex(self.cond[: self.m - 1] @ (da * np.conj(db)))
-        grad += self.cond[self.m - 1] * a[-1] * np.conj(b[-1])
-        l2 = complex(self.vol @ (a * np.conj(b)))
-        return self.omega * (grad + l2)
+
+def _h1_inner(grid, a, b):
+    op = grid.operator
+    da = np.diff(a)
+    db = np.diff(b)
+    grad = complex(op.cond[:-1] @ (da * np.conj(db)))
+    grad += op.cond[-1] * a[-1] * np.conj(b[-1])
+    l2 = complex(op.vol @ (a * np.conj(b)))
+    return grid.omega_n * (grad + l2)
 
 
 def _interior(values):
@@ -145,10 +127,10 @@ def orbit_distance(field: ComplexField, U: RadialProfile) -> float:
     """
     if field.grid.n_nodes != U.grid.n_nodes:
         raise ParameterError("field and reference live on different grids")
-    disc = _Discretization(field.grid, p=3.0)  # p unused in the metric
+    grid = field.grid
     ref = _interior(U.values)
-    return _distance(disc, _interior(field.values), ref,
-                     disc.h1_inner(ref, ref).real)
+    return _distance(grid, _interior(field.values), ref,
+                     _h1_inner(grid, ref, ref).real)
 
 
 def evolve(initial: ComplexField, params: ProblemParams, dt: float, T: float,
@@ -168,27 +150,28 @@ def evolve(initial: ComplexField, params: ProblemParams, dt: float, T: float,
     if sample_every < 1 or max_inner < 1:
         raise ParameterError("sample_every and max_inner must be >= 1")
     p = params.p
-    disc = _Discretization(initial.grid, p)
+    grid = initial.grid
+    op = grid.operator
     y = _interior(initial.values)
     cap = blowup_cap if blowup_cap is not None else \
         DEFAULT_BLOWUP_FACTOR * float(np.max(np.abs(y)) + 1e-300)
 
     idt = 1j / dt
-    cn_solve = disc.cn_solver(dt)
+    cn_solve = _cn_solver(op, dt)
 
     n_steps = int(round(T / abs(dt)))
     times = [initial.time]
-    masses = [disc.mass(y)]
-    energies = [disc.energy(y)]
+    masses = [_mass(grid, y)]
+    energies = [_energy(grid, p, y)]
     dists = None
     if reference is not None:
         ref_vals = _interior(reference.values).real
-        ref_norm2 = disc.h1_inner(ref_vals, ref_vals).real
-        dists = [_distance(disc, y, ref_vals, ref_norm2)]
+        ref_norm2 = _h1_inner(grid, ref_vals, ref_vals).real
+        dists = [_distance(grid, y, ref_vals, ref_norm2)]
 
     t = initial.time
     for step in range(1, n_steps + 1):
-        rhs_lin = idt * y + 0.5 * disc.apply(y)
+        rhs_lin = idt * y + 0.5 * op.apply(y)
         y_new = y.copy()
         tol = inner_tol * max(1.0, float(np.max(np.abs(y))))
         # A diverging iterate overflows to inf/NaN; that ends the step like
@@ -203,7 +186,7 @@ def evolve(initial: ComplexField, params: ProblemParams, dt: float, T: float,
                 if delta <= tol or not math.isfinite(delta):
                     break
         if not delta <= tol:
-            partial = _build_record(initial.grid, times, masses, energies,
+            partial = _build_record(grid, times, masses, energies,
                                     dists, y, t, end_reason="stalled")
             raise StepSizeError(
                 "inner fixed point stalled; reduce dt",
@@ -215,24 +198,24 @@ def evolve(initial: ComplexField, params: ProblemParams, dt: float, T: float,
         hit_cap = sup > cap
         if step % sample_every == 0 or step == n_steps or hit_cap:
             times.append(t)
-            masses.append(disc.mass(y))
-            energies.append(disc.energy(y))
+            masses.append(_mass(grid, y))
+            energies.append(_energy(grid, p, y))
             if dists is not None:
-                dists.append(_distance(disc, y, ref_vals, ref_norm2))
+                dists.append(_distance(grid, y, ref_vals, ref_norm2))
         if hit_cap:
-            record = _build_record(initial.grid, times, masses, energies,
+            record = _build_record(grid, times, masses, energies,
                                    dists, y, t, end_reason="blowup_cap")
             raise BlowUpError(f"sup|Phi| = {sup:.3e} exceeded cap {cap:.3e}",
                               hit_time=t, record=record)
-    return _build_record(initial.grid, times, masses, energies, dists, y, t,
+    return _build_record(grid, times, masses, energies, dists, y, t,
                          end_reason="completed")
 
 
-def _distance(disc, y, ref_vals, ref_norm2):
+def _distance(grid, y, ref_vals, ref_norm2):
     """H^1 orbit distance of y to the real profile ref_vals, whose squared
     norm ref_norm2 the caller computes once."""
-    na = disc.h1_inner(y, y).real
-    cross = abs(disc.h1_inner(y, ref_vals))
+    na = _h1_inner(grid, y, y).real
+    cross = abs(_h1_inner(grid, y, ref_vals))
     return math.sqrt(max(na + ref_norm2 - 2.0 * cross, 0.0))
 
 
@@ -260,41 +243,31 @@ def discrete_standing_wave(point: BranchPoint, tol: float = 1e-12,
     params = point.params
     p = params.p
     grid = point.profile.grid
-    lower, diag, upper, _ = radial_laplacian_tridiag(grid)
-    m = len(diag)
+    op = grid.operator
+    m = grid.n_nodes - 1
     lam = point.lam
     y = point.mu ** (1.0 / (p - 1.0)) * point.profile.values[:m]
 
     def residual(vals):
-        out = diag * vals
-        out[:-1] += upper * vals[1:]
-        out[1:] += lower * vals[:-1]
-        return out + lam * vals - np.maximum(vals, 0.0) ** p
+        return op.apply(vals) + lam * vals - np.maximum(vals, 0.0) ** p
 
     fy = residual(y)
     scale = max(1.0, float(np.max(np.abs(y))) ** p)
-    op_scale = float(np.max(np.abs(diag)))
+    op_scale = float(np.max(np.abs(op.diag)))
     eps = float(np.finfo(float).eps)
     for _ in range(max_iter):
         norm = float(np.max(np.abs(fy)))
         floor = 20.0 * eps * op_scale * max(float(np.max(np.abs(y))), 1e-30)
         if norm <= tol * scale + floor:
             break
-        jd = diag + lam - p * np.maximum(y, 0.0) ** (p - 1.0)
-        ab = np.zeros((3, m))
-        ab[0, 1:] = upper
-        ab[1, :] = jd
-        ab[2, :-1] = lower
-        y = y + solve_banded((1, 1), ab, -fy)
+        y = y + op.solve(lam - p * np.maximum(y, 0.0) ** (p - 1.0), -fy)
         fy = residual(y)
     else:
         raise StepSizeError("stationary polish did not converge",
                             residual=float(np.max(np.abs(fy))))
     full = np.zeros(grid.n_nodes)
     full[:m] = y
-    h = grid.spacing
-    bnd = (full[-3] - 4.0 * full[-2]) / (2.0 * h)
-    return RadialProfile(grid, full, float(bnd))
+    return RadialProfile(grid, full, op.boundary_slope(full))
 
 
 def stability_probe(point: BranchPoint, delta: float, T: float,

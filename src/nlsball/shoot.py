@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 from scipy.special import ive, kve
 
@@ -36,11 +35,9 @@ from .core import (
     ProblemParams,
     RadialGrid,
     RadialProfile,
-    apply_radial_laplacian,
     dirichlet_lambda1_exact,
     make_grid,
     principal_eigenpair,
-    radial_laplacian_tridiag,
 )
 from .errors import (
     BracketError,
@@ -328,8 +325,8 @@ def _solve_ball_defocusing(params, lam, grid, seed_values=None,
                            tol=1e-11, max_iter=100):
     """Damped Newton for -Delta u + lam u + u^p = 0, u > 0, u(1) = 0."""
     lam1 = dirichlet_lambda1_exact(params.N)
-    lower, diag, upper, _ = radial_laplacian_tridiag(grid)
-    m = len(diag)
+    op = grid.operator
+    m = grid.n_nodes - 1
     p = params.p
     r = grid.nodes[:m]
 
@@ -356,14 +353,10 @@ def _solve_ball_defocusing(params, lam, grid, seed_values=None,
             yield phi1_seed()
 
     def residual(y):
-        pos = np.maximum(y, 0.0)
-        out = diag * y
-        out[:-1] += upper * y[1:]
-        out[1:] += lower * y[:-1]
-        return out + lam * y + pos**p
+        return op.apply(y) + lam * y + np.maximum(y, 0.0) ** p
 
     scale = max(1.0, -lam * (-lam) ** (1.0 / (p - 1.0)))
-    op_scale = float(np.max(np.abs(diag)))  # residual roundoff floor ~ eps*op*|y|
+    op_scale = float(np.max(np.abs(op.diag)))  # residual roundoff floor ~ eps*op*|y|
     last = None
     for y in seeds():
         fy = residual(y)
@@ -378,13 +371,7 @@ def _solve_ball_defocusing(params, lam, grid, seed_values=None,
             if converged(norm, y):
                 ok = True
                 break
-            pos = np.maximum(y, 0.0)
-            jdiag = diag + lam + p * pos ** (p - 1.0)
-            ab = np.zeros((3, m))
-            ab[0, 1:] = upper
-            ab[1, :] = jdiag
-            ab[2, :-1] = lower
-            delta = solve_banded((1, 1), ab, -fy)
+            delta = op.solve(lam + p * np.maximum(y, 0.0) ** (p - 1.0), -fy)
             t = 1.0
             for _ in range(30):
                 # reflect to the positive cone: the target is the positive
@@ -402,9 +389,7 @@ def _solve_ball_defocusing(params, lam, grid, seed_values=None,
         if ok and y.min() > 0.0:
             full = np.zeros(grid.n_nodes)
             full[:m] = y
-            h = grid.spacing
-            boundary = (full[-3] - 4.0 * full[-2]) / (2.0 * h)
-            return RadialProfile(grid, full, float(boundary))
+            return RadialProfile(grid, full, op.boundary_slope(full))
         last = norm
     raise SolverError(
         "defocusing Newton iteration failed", residual=last, lam=lam
@@ -500,10 +485,9 @@ def discrete_residual(profile: RadialProfile, lam: float, mu: float,
                       params: ProblemParams) -> float:
     """Max-norm residual of the conservative discretization,
     normalized by the largest term magnitude (at least 1)."""
-    y = profile.values
     p = params.p
-    lap = apply_radial_laplacian(profile.grid, y)
-    yin = y[: len(lap)]
+    lap = profile.grid.operator.apply(profile.values)
+    yin = profile.values[: len(lap)]
     res = lap + lam * yin - mu * yin * np.abs(yin) ** (p - 1.0)
     scale = max(1.0, np.max(np.abs(lam * yin)), np.max(np.abs(yin) ** p))
     return float(np.max(np.abs(res)) / scale)

@@ -17,7 +17,6 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .branch import Branch, BranchPoint
-from .core import radial_laplacian_tridiag
 from .errors import ParameterError
 
 N_STORED_EIGENVALUES = 16
@@ -29,8 +28,8 @@ class IdentityReport:
 
     `pohozaev_res` covers every point; the derivative-based residuals
     cover interior points (centered differences need both neighbors) and
-    are aligned with `interior_alphas`.  `alpha_steps` records the
-    finite-difference stencil widths actually used.
+    are aligned with `interior_alphas`.  `alpha_steps` records the alpha
+    span of each difference stencil.
     """
 
     alphas: np.ndarray
@@ -97,8 +96,8 @@ def boundary_flux_check(branch: Branch) -> np.ndarray:
 
 
 def derivative_identities(branch: Branch) -> IdentityReport:
-    """All identity residuals along a branch, derivatives from centered
-    differences in alpha."""
+    """All identity residuals along a branch, derivatives from
+    `Branch.derivative`."""
     n = len(branch.points)
     if n < 3:
         raise ParameterError("need at least 3 points for centered differences")
@@ -162,7 +161,8 @@ def linearized_spectrum(point: BranchPoint, l_max: int = 3) -> SpectrumReport:
     params = point.params
     N, p = params.N, params.p
     grid = point.profile.grid
-    lower, diag, upper, vol = radial_laplacian_tridiag(grid)
+    op = grid.operator
+    diag, lower, vol = op.diag, op.lower, op.vol
     m = len(diag)
     u = point.profile.values[:m]
     potential = point.lam - p * point.mu * np.abs(u) ** (p - 1.0)

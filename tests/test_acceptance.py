@@ -17,7 +17,6 @@ from nlsball import (
     ProblemParams,
     ShootConfig,
     ap_predict,
-    evolve,
     geometric_lambda_grid,
     gn_constant,
     linearized_spectrum,
@@ -32,7 +31,7 @@ from nlsball import (
     trace,
 )
 from nlsball.branch import _solve_normalized
-from nlsball.evolve import discrete_standing_wave
+from nlsball.evolve import discrete_standing_wave, evolve
 from nlsball.verify import derivative_identities
 from scipy.optimize import brentq
 

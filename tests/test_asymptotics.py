@@ -21,7 +21,6 @@ from nlsball import (
     solve_psi,
     trace,
 )
-from nlsball.core import apply_radial_laplacian
 from nlsball.errors import DomainError, ParameterError
 
 P13 = ProblemParams(N=1, p=3.0)
@@ -56,7 +55,7 @@ class TestSolvePsi:
     def test_discrete_residual(self, expansion_13):
         ap = expansion_13
         grid = ap.psi.grid
-        lap = apply_radial_laplacian(grid, ap.psi.values)
+        lap = grid.operator.apply(ap.psi.values)
         m = len(lap)
         phi = ap.eig.phi1.values[:m]
         res = lap - ap.eig.lambda1 * ap.psi.values[:m] - (phi**3 - ap.c_p1 * phi)

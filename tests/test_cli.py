@@ -123,6 +123,17 @@ class TestVerifyCommand:
             assert entry["negative_counts"][0] == 1
             assert entry["total_negative"] == 1
 
+    def test_defocusing_endpoint_window_passes(self, tmp_path):
+        # the S- window of the verify-endpoint benchmark workload
+        cfg = write_cfg(tmp_path / "c.cfg", N=1, p=3.0, sign="defocusing",
+                        lambda_min=-2.6, lambda_max=-2000.0, num_points=121,
+                        n_nodes=2049, spectrum_points=2)
+        out = tmp_path / "v.json"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["pass"] is True
+        assert doc["max_pohozaev_res"] < 1e-5
+
     def test_threshold_failure_exit_code(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", N=1, p=3.0, lambda_min=0.0,
                         lambda_max=8.0, num_points=15, n_nodes=1025,

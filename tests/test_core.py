@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import jn_zeros
 
 from nlsball import (
@@ -78,13 +80,75 @@ class TestGrid:
             make_grid(params, 8, 1.0)
         with pytest.raises(ParameterError):
             make_grid(params, 64, -1.0)
-        with pytest.raises(ParameterError):
-            make_grid(params, 64, 1.0, grading=9.0)
 
-    def test_graded_grid_still_integrates(self):
-        params = ProblemParams(3, 2.0)
-        grid = make_grid(params, 2049, 1.0, grading=1.5)
-        assert abs(grid.integrate(np.ones(2049)) / ball_volume(3) - 1.0) < 1e-10
+
+def _loop_tridiag(grid):
+    """Reference build of the operator, one node at a time."""
+    r = grid.nodes
+    m = grid.n_nodes - 1
+    nd = grid.n_dim
+    faces = np.empty(len(r) + 1)
+    faces[0], faces[-1] = r[0], r[-1]
+    faces[1:-1] = 0.5 * (r[1:] + r[:-1])
+    vol = ((faces[1:] ** nd - faces[:-1] ** nd) / nd)[:m]
+    cond = faces[1:-1] ** (nd - 1) / np.diff(r)
+    diag, lower, upper = np.zeros(m), np.zeros(m - 1), np.zeros(m - 1)
+    diag[0] = cond[0] / vol[0]
+    upper[0] = -cond[0] / vol[0]
+    for i in range(1, m):
+        diag[i] = (cond[i - 1] + cond[i]) / vol[i]
+        lower[i - 1] = -cond[i - 1] / vol[i]
+        if i < m - 1:
+            upper[i] = -cond[i] / vol[i]
+    return lower, diag, upper, vol
+
+
+class TestRadialOperator:
+    @pytest.mark.parametrize("N", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n,R", [(16, 1.0), (1025, 1.0), (2050, 20.0)])
+    def test_matches_loop_reference(self, N, n, R):
+        grid = make_grid(ProblemParams(N, 1.5), n, R)
+        op = grid.operator
+        ref = _loop_tridiag(grid)
+        for got, want in zip((op.lower, op.diag, op.upper, op.vol), ref):
+            assert np.array_equal(got, want)
+        y = np.random.default_rng(n).normal(size=n)
+        lower, diag, upper, _ = ref
+        want = diag * y[:-1]
+        want[:-1] += upper * y[1:-1]
+        want[1:] += lower * y[:-2]
+        assert np.array_equal(op.apply(y), want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(N=st.sampled_from([1, 2, 3, 5]), n=st.integers(16, 3000),
+           R=st.floats(0.1, 50.0))
+    def test_vol_symmetry(self, N, n, R):
+        # vol_i A_ij = vol_j A_ji on the off-diagonals; each side is
+        # -cond rounded twice
+        op = make_grid(ProblemParams(N, 1.5), n, R).operator
+        left = op.vol[:-1] * op.upper
+        right = op.vol[1:] * op.lower
+        rel = np.max(np.abs(left - right) / np.abs(left))
+        assert rel <= 4.0 * np.finfo(float).eps
+
+    # odd n is plain Simpson, even n ends with the 3/8 panel
+    @pytest.mark.parametrize("parity", [0, 1])
+    @settings(max_examples=20, deadline=None)
+    @given(Nk=st.sampled_from([(N, k) for N in (1, 2, 3)
+                               for k in range(4) if k + N - 1 <= 3]),
+           half=st.integers(8, 1500), R=st.floats(0.1, 50.0))
+    def test_simpson_exact_on_cubics(self, parity, Nk, half, R):
+        N, k = Nk
+        grid = make_grid(ProblemParams(N, 1.5), 2 * half + parity, R)
+        exact = R ** (k + N) / (k + N)
+        assert grid.quad(grid.nodes**k) == pytest.approx(exact, rel=1e-13)
+
+    @pytest.mark.parametrize("N,slope", [(1, -math.pi / 2),
+                                         (3, -math.sqrt(math.pi / 2))])
+    def test_phi1_boundary_slope(self, N, slope):
+        params = ProblemParams(N, 3.0)
+        eig = principal_eigenpair(params, make_grid(params, 2049, 1.0))
+        assert abs(eig.phi1.boundary_derivative - slope) < 1e-6
 
 
 class TestIntegrate:

@@ -15,7 +15,6 @@ from nlsball import (
     ComplexField,
     ProblemParams,
     ShootConfig,
-    evolve,
     make_grid,
     normalize,
     orbit_distance,
@@ -23,7 +22,14 @@ from nlsball import (
     solve_ball_profile,
     stability_probe,
 )
-from nlsball.evolve import _Discretization, discrete_standing_wave
+from nlsball.evolve import (
+    _cn_solver,
+    _grad_form,
+    _h1_inner,
+    _mass,
+    discrete_standing_wave,
+    evolve,
+)
 from nlsball.errors import BlowUpError, ParameterError
 
 P13 = ProblemParams(N=1, p=3.0)
@@ -51,24 +57,25 @@ def supercritical_point():
 
 class TestDiscretization:
     def test_grad_form_matches_operator_pairing(self, standing_wave):
-        disc = _Discretization(standing_wave.grid, 3.0)
+        grid = standing_wave.grid
+        op = grid.operator
         y = standing_wave.values[:-1].astype(complex)
-        pairing = float((disc.vol * disc.apply(y).real) @ y.real) * disc.omega
-        assert pairing == pytest.approx(disc.grad_form(y), rel=1e-12)
+        pairing = float((op.vol * op.apply(y).real) @ y.real) * grid.omega_n
+        assert pairing == pytest.approx(_grad_form(grid, y), rel=1e-12)
 
     @pytest.mark.parametrize("N", [1, 3])
     @pytest.mark.parametrize("dt", [1e-3, -2.5e-4])
     def test_cn_solver_matches_solve_banded(self, N, dt):
-        disc = _Discretization(make_grid(ProblemParams(N=N, p=3.0), 1025, 1.0),
-                               3.0)
-        ab = np.zeros((3, disc.m), dtype=complex)
-        ab[0, 1:] = -0.5 * disc.upper
-        ab[1, :] = 1j / dt - 0.5 * disc.diag
-        ab[2, :-1] = -0.5 * disc.lower
-        solve = disc.cn_solver(dt)
+        op = make_grid(ProblemParams(N=N, p=3.0), 1025, 1.0).operator
+        m = len(op.diag)
+        ab = np.zeros((3, m), dtype=complex)
+        ab[0, 1:] = -0.5 * op.upper
+        ab[1, :] = 1j / dt - 0.5 * op.diag
+        ab[2, :-1] = -0.5 * op.lower
+        solve = _cn_solver(op, dt)
         rng = np.random.default_rng(N)
         for _ in range(3):
-            b = rng.normal(size=disc.m) + 1j * rng.normal(size=disc.m)
+            b = rng.normal(size=m) + 1j * rng.normal(size=m)
             assert np.array_equal(solve(b.copy()),
                                   solve_banded((1, 1), ab, b))
 
@@ -134,8 +141,8 @@ class TestEvolve:
                              standing_wave.values.astype(complex), 0.0)
         fwd = evolve(field, P13, 1e-3, 1.0, sample_every=10000)
         back = evolve(fwd.final, P13, -1e-3, 1.0, sample_every=10000)
-        disc = _Discretization(standing_wave.grid, 3.0)
-        err = math.sqrt(disc.mass(back.final.values[:-1] - field.values[:-1]))
+        err = math.sqrt(_mass(standing_wave.grid,
+                              back.final.values[:-1] - field.values[:-1]))
         assert err < 1e-6
 
     def test_blowup_cap(self, standing_wave):
@@ -157,8 +164,7 @@ class TestEvolve:
     def test_step_conserves_mass(self, N, p, dt, re, im):
         grid = make_grid(ProblemParams(N=N, p=p), 65, 1.0)
         vals = np.append(re + 1j * im, 0.0)
-        disc = _Discretization(grid, p)
-        m0 = disc.mass(vals[:-1])
+        m0 = _mass(grid, vals[:-1])
         rec = evolve(ComplexField(grid, vals, 0.0), ProblemParams(N=N, p=p),
                      dt, abs(dt))
         assert rec.end_reason == "completed"
@@ -175,14 +181,13 @@ class TestOrbitDistance:
 
     def test_orthogonal_perturbation(self, standing_wave):
         eig = principal_eigenpair(P13, standing_wave.grid)
-        disc = _Discretization(standing_wave.grid, 3.0)
         delta = 1e-4
         vals = (standing_wave.values + delta * eig.phi1.values).astype(complex)
         vals[-1] = 0.0
         d = orbit_distance(ComplexField(standing_wave.grid, vals, 0.0),
                            standing_wave)
         phi = eig.phi1.values[:-1].astype(complex)
-        h1 = math.sqrt(disc.h1_inner(phi, phi).real)
+        h1 = math.sqrt(_h1_inner(standing_wave.grid, phi, phi).real)
         assert abs(d - delta * h1) < 1e-8
 
     def test_unimodular_invariance(self, standing_wave):

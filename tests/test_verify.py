@@ -24,8 +24,8 @@ P33 = ProblemParams(N=3, p=3.0)
 
 @pytest.fixture(scope="module")
 def identity_branch():
-    # ~2.5% relative alpha spacing keeps the centered-difference residuals
-    # inside the 1e-3 band
+    # ~2.6% geometric steps in lambda + lambda_1 keep the centered-difference
+    # residuals inside the 1e-3 band
     cfg = ShootConfig(n_nodes=2049)
     lams = geometric_lambda_grid(P13, -1.0, 30.0, 121, sign=+1)
     return trace(P13, lams, +1, cfg)
@@ -38,6 +38,10 @@ class TestPohozaev:
         assert pohozaev_residual(pt) < 1e-5
         # lam = 0 reduces the identity to alpha = (4/3) u_r(1)^2
         assert pt.alpha == pytest.approx(4.0 / 3.0 * pt.ur1**2, rel=1e-6)
+
+    def test_deep_defocusing_point(self, cfg_fine):
+        prof = solve_ball_profile(P13, -2000.0, -1, cfg_fine)
+        assert pohozaev_residual(normalize(prof, -2000.0, -1, P13)) < 1e-5
 
     def test_every_point_on_supercritical_branch(self, branch_33):
         for pt in branch_33.points:
