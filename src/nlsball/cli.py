@@ -247,6 +247,12 @@ def cmd_figure1(cfg, out_path):
 
 
 def cmd_verify(cfg, out_path):
+    """Trace the branch and report its identity residuals and, at
+    `spectrum_points` points, the linearized spectrum's negative counts and
+    gap; exit 1 when a residual exceeds its tolerance or a focusing Morse
+    index differs from 1.  `SolverError` (a branch shorter than 3 points,
+    a sector with more negative eigenvalues than are computed) exits 1 too.
+    """
     sign = _sign_of(cfg["sign"])
     br = _traced_branch(cfg, sign)
     if len(br.points) < 3:

@@ -386,7 +386,10 @@ def _solve_ball_defocusing(params, lam, grid, seed_values=None,
                 ok = converged(norm, y)
                 break
             y, fy, norm = y_new, f_new, n_new
-        if ok and y.min() > 0.0:
+        # u = 0 solves the equation at every lam; a positive solution has
+        # max(u)^(p-1) >= -lam - lambda_1(h) (test against phi_1), and the
+        # factor 1/2 absorbs the grid's lambda_1(h) - lambda_1
+        if ok and y.min() > 0.0 and y.max() ** (p - 1.0) >= 0.5 * (-lam - lam1):
             full = np.zeros(grid.n_nodes)
             full[:m] = y
             return RadialProfile(grid, full, op.boundary_slope(full))

@@ -4,9 +4,9 @@ Every exact solution ties its scalars together: the radial Pohozaev
 identity fixes lambda in terms of alpha and the boundary flux, the
 differentiated constraints pair u with v = du/dalpha, and the boundary
 form links mu' to u_r(1) v_r(1).  The residuals of these identities
-measure the combined discretization and continuation error.  The
-linearized operator's radial spectrum supplies the Morse index and the
-nondegeneracy gap per spherical-harmonic sector.
+measure the combined discretization and continuation error.  The lowest
+eigenvalues of the linearized operator's radial spectrum supply the Morse
+index and the nondegeneracy gap per spherical-harmonic sector.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .branch import Branch, BranchPoint
-from .errors import ParameterError
+from .errors import ParameterError, SolverError
 
 N_STORED_EIGENVALUES = 16
 
@@ -150,14 +150,33 @@ def derivative_identities(branch: Branch) -> IdentityReport:
 
 
 def linearized_spectrum(point: BranchPoint, l_max: int = 3) -> SpectrumReport:
-    """Eigenvalues of the linearized operator per harmonic sector.
+    """Lowest eigenvalues of the linearized operator per harmonic sector.
 
     L_l = -d_rr - (N-1)/r d_r + l(l+N-2)/r^2 + lambda - p mu u^{p-1},
     Dirichlet at r = 1 and regularity at 0 (even symmetry for l = 0, a
     Dirichlet center condition for l >= 1, matching the r^l behavior).
+    Each sector keeps its lowest `N_STORED_EIGENVALUES` eigenvalues, found
+    by bisection; the negative count and min |eigenvalue| come from them
+    and are exact while fewer are negative.  A sector whose stored
+    eigenvalues are all negative, with more left uncomputed, raises
+    `SolverError`.
     """
     if l_max < 1:
         raise ParameterError("l_max must be >= 1")
+    eigs, counts, gaps = zip(*(_lowest_eigenvalues(*sector)
+                               for sector in _sector_matrices(point, l_max)))
+    return SpectrumReport(
+        l_values=tuple(range(l_max + 1)),
+        eigenvalues=eigs,
+        negative_counts=counts,
+        min_abs_eigenvalue=min(gaps),
+        total_negative=sum(counts),
+    )
+
+
+def _sector_matrices(point: BranchPoint, l_max: int):
+    """(l, diagonal, off-diagonal) of each sector's operator, symmetrized
+    by the cell volumes; l >= 1 drops the center node."""
     params = point.params
     N, p = params.N, params.p
     grid = point.profile.grid
@@ -167,27 +186,32 @@ def linearized_spectrum(point: BranchPoint, l_max: int = 3) -> SpectrumReport:
     u = point.profile.values[:m]
     potential = point.lam - p * point.mu * np.abs(u) ** (p - 1.0)
     r = grid.nodes[:m]
-
-    eigs = []
-    counts = []
-    gaps = []
     for ell in range(l_max + 1):
         if ell == 0:
-            d_full = diag + potential
-            off = lower * np.sqrt(vol[1:] / vol[:-1])
-            ew = eigh_tridiagonal(d_full, off, eigvals_only=True)
+            yield ell, diag + potential, lower * np.sqrt(vol[1:] / vol[:-1])
         else:
             cent = ell * (ell + N - 2.0) / r[1:] ** 2
-            d_full = diag[1:] + potential[1:] + cent
-            off = lower[1:] * np.sqrt(vol[2:] / vol[1:-1])
-            ew = eigh_tridiagonal(d_full, off, eigvals_only=True)
-        eigs.append(ew[:N_STORED_EIGENVALUES].copy())
-        counts.append(int(np.sum(ew < 0.0)))
-        gaps.append(float(np.min(np.abs(ew))))
-    return SpectrumReport(
-        l_values=tuple(range(l_max + 1)),
-        eigenvalues=tuple(eigs),
-        negative_counts=tuple(counts),
-        min_abs_eigenvalue=float(min(gaps)),
-        total_negative=int(sum(counts)),
-    )
+            yield (ell, diag[1:] + potential[1:] + cent,
+                   lower[1:] * np.sqrt(vol[2:] / vol[1:-1]))
+
+
+def _lowest_eigenvalues(ell: int, d: np.ndarray, e: np.ndarray):
+    """The lowest min(N_STORED_EIGENVALUES, len(d)) eigenvalues of the
+    symmetric tridiagonal (d, e), ascending, with their negative count and
+    min |eigenvalue|.
+
+    The min |eigenvalue| is the last negative or the first nonnegative
+    eigenvalue, so both figures are exact unless every computed value is
+    negative and the sector has more.
+    """
+    k = min(N_STORED_EIGENVALUES, len(d))
+    ew = eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                          select_range=(0, k - 1))
+    neg = int(np.count_nonzero(ew < 0.0))
+    if neg == k and len(d) > k:
+        raise SolverError(
+            "linearized sector has more negative eigenvalues than are computed",
+            l=ell, k=k, size=len(d),
+        )
+    # a copy, so that the report does not keep LAPACK's length-n buffer
+    return ew.copy(), neg, float(np.min(np.abs(ew)))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from nlsball import (
@@ -14,6 +16,7 @@ from nlsball import (
     classify_stability,
     find_mu_star,
     geometric_lambda_grid,
+    grad_norm_sq,
     least_energy_at_mass,
     make_grid,
     normalize,
@@ -59,6 +62,36 @@ class TestNormalize:
         with pytest.raises(DegenerateInputError):
             normalize(prof, 0.0, +1, P13)
 
+    @settings(max_examples=40, deadline=None)
+    @given(N=st.integers(1, 5), t=st.floats(0.05, 0.95),
+           sign=st.sampled_from([+1, -1]), a=st.floats(0.0, 5.0),
+           c=st.floats(0.1, 10.0), lam=st.floats(-50.0, 50.0))
+    def test_invariants_property(self, N, t, sign, a, c, lam):
+        # p spans the admissible range (1, min(2* - 1, 7))
+        p = 1.0 + t * (min(ProblemParams(N, 2.0).sobolev_limit, 7.0) - 1.0)
+        params = ProblemParams(N, p)
+        grid = make_grid(params, 257, 1.0)
+        r = grid.nodes
+        shape = (1.0 - r**2) * (1.0 + a * r**2)
+        base = RadialProfile(grid, shape, -2.0 * (1.0 + a))
+        scaled = RadialProfile(grid, c * shape, -2.0 * c * (1.0 + a))
+        pt = normalize(base, lam, sign, params)
+        pt_c = normalize(scaled, lam, sign, params)
+        assert abs(pt.profile.l2_norm_sq() - 1.0) < 1e-12
+        np.testing.assert_allclose(pt_c.profile.values, pt.profile.values,
+                                   rtol=0.0, atol=1e-13)
+        assert pt_c.mu == pytest.approx(c ** (p - 1.0) * pt.mu, rel=1e-12)
+        assert pt.alpha == grad_norm_sq(pt.profile)
+        if sign < 0:
+            assert pt.mu < 0.0
+            assert pt.rho is None and pt.energy is None
+        else:
+            assert pt.mu > 0.0
+            assert pt.rho == pytest.approx(pt.mu ** (2.0 / (p - 1.0)),
+                                           rel=1e-14)
+            energy = pt.rho * (pt.alpha / 2.0 - pt.mu * pt.M_alpha / (p + 1.0))
+            assert pt.energy == pytest.approx(energy, rel=1e-14)
+
     def test_point_invariants_along_branches(self, branch_13, branch_defoc):
         vol = ball_volume(1)
         for pt in branch_13.points:
@@ -89,6 +122,18 @@ class TestTrace:
         assert np.all(np.diff(branch_defoc.alphas) > 0.0)
         assert np.all(np.diff(branch_defoc.mus) < 0.0)
         assert np.all(np.diff(branch_defoc.lambdas) < 0.0)
+
+    def test_coarse_defocusing_trace_avoids_trivial_state(self, cfg_fine):
+        # 9 points over the S- window: each warm seed lies far from the next
+        # solution, and Newton used to settle on u = 0 (mu ~ -1.8e-38)
+        lams = geometric_lambda_grid(P13, -2.6, -2000.0, 9, sign=-1)
+        br = trace(P13, lams, -1, cfg_fine)
+        assert len(br.points) == 9 and not br.failures
+        assert np.all(np.diff(br.mus) < 0.0)
+        for pt, lam in zip(br.points, lams):
+            cold = normalize(solve_ball_profile(P13, lam, -1, cfg_fine),
+                             lam, -1, P13)
+            assert pt.mu == pytest.approx(cold.mu, rel=1e-8)
 
     def test_partial_branch_on_failure(self, cfg_fast):
         # a lam below the admissible range fails that solve only

@@ -134,6 +134,20 @@ class TestVerifyCommand:
         assert doc["pass"] is True
         assert doc["max_pohozaev_res"] < 1e-5
 
+    def test_coarse_defocusing_window_reports(self, tmp_path):
+        # 9 points span the S- window too coarsely for the derivative
+        # identities: exit 1 through the report, with every point solved
+        cfg = write_cfg(tmp_path / "c.cfg", N=1, p=3.0, sign="defocusing",
+                        lambda_min=-2.6, lambda_max=-2000.0, num_points=9,
+                        n_nodes=2049)
+        out = tmp_path / "v.json"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+        doc = json.loads(out.read_text())
+        assert doc["points"] == 9
+        assert doc["failures"] == ["derivative-pairing", "M-prime"]
+        assert doc["max_pohozaev_res"] < 1e-5
+        assert all(s["total_negative"] == 0 for s in doc["spectra"])
+
     def test_threshold_failure_exit_code(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", N=1, p=3.0, lambda_min=0.0,
                         lambda_max=8.0, num_points=15, n_nodes=1025,

@@ -1,7 +1,12 @@
 """Identity residuals and linearized spectra along branches."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 from nlsball import (
     ProblemParams,
@@ -15,7 +20,12 @@ from nlsball import (
     solve_ball_profile,
     trace,
 )
-from nlsball.errors import ParameterError
+from nlsball.errors import ParameterError, SolverError
+from nlsball.verify import (
+    N_STORED_EIGENVALUES,
+    _lowest_eigenvalues,
+    _sector_matrices,
+)
 
 P13 = ProblemParams(N=1, p=3.0)
 P15 = ProblemParams(N=1, p=5.0)
@@ -153,3 +163,83 @@ class TestSpectrum:
     def test_l_max_guard(self, branch_13):
         with pytest.raises(ParameterError):
             linearized_spectrum(branch_13.points[0], 0)
+
+
+def _full_spectrum(d, e):
+    return eigh_tridiagonal(d, e, eigvals_only=True)
+
+
+def _inf_norm(d, e):
+    off = np.abs(e)
+    return float(np.max(np.abs(d) + np.append(off, 0.0) + np.append(0.0, off)))
+
+
+class TestSelectedSpectrum:
+    """The lowest-k eigenvalues against the full tridiagonal spectrum."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(17, 200),
+           neg=st.integers(0, 15), t=st.floats(0.05, 0.95))
+    def test_matches_full_spectrum(self, seed, n, neg, t):
+        rng = np.random.default_rng(seed)
+        d = rng.normal(size=n)
+        e = rng.normal(size=n - 1)
+        w = _full_spectrum(d, e)
+        below = w[neg - 1] if neg else w[0] - 1.0
+        # a clear gap at zero keeps the count well defined under roundoff;
+        # t < 1/2 puts the last negative eigenvalue nearest to zero
+        assume(w[neg] - below > 1e-6 * _inf_norm(d, e))
+        d = d - (below + t * (w[neg] - below))
+        full = _full_spectrum(d, e)
+        tol = 64.0 * np.finfo(float).eps * _inf_norm(d, e)
+        ew, count, gap = _lowest_eigenvalues(0, d, e)
+        assert count == int(np.count_nonzero(full < 0.0)) == neg
+        assert len(ew) == N_STORED_EIGENVALUES
+        np.testing.assert_allclose(ew, full[:N_STORED_EIGENVALUES],
+                                   rtol=0.0, atol=tol)
+        assert abs(gap - float(np.min(np.abs(full)))) <= tol
+
+    def test_too_many_negative_raises(self, branch_13):
+        pt = replace(branch_13.points[5], lam=-1e7)
+        with pytest.raises(SolverError) as info:
+            linearized_spectrum(pt, l_max=1)
+        size = branch_13.points[5].profile.grid.n_nodes - 1
+        assert info.value.diagnostics == {
+            "l": 0, "k": N_STORED_EIGENVALUES, "size": size}
+
+    def test_small_grid(self):
+        # 16 nodes: the l = 0 sector has 15 unknowns, l >= 1 sectors 14
+        prof = solve_ball_profile(P13, 1.0, +1, ShootConfig(n_nodes=16))
+        pt = normalize(prof, 1.0, +1, P13)
+        sp = linearized_spectrum(pt, l_max=3)
+        assert [len(ew) for ew in sp.eigenvalues] == [15, 14, 14, 14]
+        for ew, (_, d, e) in zip(sp.eigenvalues, _sector_matrices(pt, 3)):
+            full = _full_spectrum(d, e)
+            tol = 64.0 * np.finfo(float).eps * _inf_norm(d, e)
+            np.testing.assert_allclose(ew, full, rtol=0.0, atol=tol)
+        assert sp.negative_counts[0] == 1
+        assert sp.total_negative == 1
+
+
+@pytest.fixture(scope="module")
+def criterion_11_points():
+    # the focusing and defocusing points of acceptance criterion 11
+    cfg = ShootConfig(n_nodes=2049)
+    points = []
+    for params, sign, lams in ((P13, +1, (-1.0, 2.0, 20.0)),
+                               (P15, +1, (0.5, 10.0, 40.0)),
+                               (P33, +1, (-5.0, 0.5, 3.0, 15.0)),
+                               (P13, -1, (-10.0, -300.0))):
+        for lam in lams:
+            prof = solve_ball_profile(params, lam, sign, cfg)
+            points.append(normalize(prof, lam, sign, params))
+    return points
+
+
+def test_criterion_11_counts_match_full_spectrum(criterion_11_points):
+    for pt in criterion_11_points:
+        sp = linearized_spectrum(pt, l_max=3)
+        full_counts = tuple(
+            int(np.count_nonzero(_full_spectrum(d, e) < 0.0))
+            for _, d, e in _sector_matrices(pt, 3))
+        assert sp.negative_counts == full_counts
