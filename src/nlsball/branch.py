@@ -31,6 +31,7 @@ from .errors import (
     DomainError,
     NoSolutionError,
     ParameterError,
+    SolverError,
 )
 from .shoot import ShootConfig, _solve_ball_defocusing, _solve_ball_focusing
 
@@ -118,7 +119,8 @@ class Branch:
                 hm * hp * (hm + hp)
             )
 
-        alpha_lam = diff_lam(lo.alpha, mid.alpha, hi.alpha)
+        alpha_lam = _alpha_step(diff_lam(lo.alpha, mid.alpha, hi.alpha),
+                                i, mid)
 
         def diff(fm, f0, fp):
             return diff_lam(fm, f0, fp) / alpha_lam
@@ -137,6 +139,15 @@ class Branch:
     @cached_property
     def derivative_estimates(self) -> tuple[BranchDerivative, ...]:
         return tuple(self.derivative(i) for i in range(1, len(self.points) - 1))
+
+
+def _alpha_step(value: float, i: int, point: BranchPoint) -> float:
+    """`value`, a change of alpha that a derivative in alpha divides by;
+    SolverError if it is 0 or not finite (alpha stalls at point i)."""
+    if value == 0.0 or not math.isfinite(value):
+        raise SolverError("alpha does not change between neighboring points",
+                          i=i, lam=point.lam, alpha=point.alpha)
+    return value
 
 
 def normalize(profile: RadialProfile, lam: float, mu_sign: int,
@@ -382,12 +393,11 @@ def classify_stability(branch: Branch) -> Branch:
     mu_primes = np.empty(n)
     for i in range(1, n - 1):
         mu_primes[i] = branch.derivative(i).mu_prime
-    mu_primes[0] = (branch.mus[1] - branch.mus[0]) / (
-        branch.alphas[1] - branch.alphas[0]
-    )
-    mu_primes[-1] = (branch.mus[-1] - branch.mus[-2]) / (
-        branch.alphas[-1] - branch.alphas[-2]
-    )
+    mus, alphas, points = branch.mus, branch.alphas, branch.points
+    mu_primes[0] = (mus[1] - mus[0]) / _alpha_step(
+        alphas[1] - alphas[0], 0, points[0])
+    mu_primes[-1] = (mus[-1] - mus[-2]) / _alpha_step(
+        alphas[-1] - alphas[-2], n - 1, points[-1])
     tol = 1e-3 * np.max(np.abs(mu_primes))
     tags = []
     for d in mu_primes:

@@ -203,8 +203,8 @@ class RadialOperator:
 
     def solve(self, shift, rhs: np.ndarray) -> np.ndarray:
         """x with (A + diag(shift)) x = rhs; `shift` is a scalar or one
-        value per unknown."""
-        ab = np.zeros((3, len(self.diag)))
+        value per unknown, real or complex."""
+        ab = np.zeros((3, len(self.diag)), np.result_type(shift, rhs, float))
         ab[0, 1:] = self.upper
         ab[1, :] = self.diag + shift
         ab[2, :-1] = self.lower

@@ -42,20 +42,15 @@ class NoSolutionError(NlsBallError):
 
 
 class StepSizeError(SolverError):
-    """The implicit time step diverged; a smaller dt is required.
-
-    May carry the partial evolution record accumulated before the stall.
-    """
-
-    def __init__(self, message, record=None, **diagnostics):
-        super().__init__(message, **diagnostics)
-        self.record = record
+    """The Newton polish of a standing wave onto the discrete equation
+    did not converge."""
 
 
 class BlowUpError(NlsBallError):
-    """The evolved field exceeded the blow-up cap.
+    """The evolved field exceeded the blow-up cap or stopped being finite.
 
-    Carries the hit time and the partial evolution record.
+    Carries the hit time and the partial evolution record, whose
+    `end_reason` tells the two apart.
     """
 
     def __init__(self, message, hit_time, record):

@@ -3,32 +3,34 @@
 used as an empirical orbital-stability probe for standing waves
 e^{i lambda t} U.
 
-The stepper is Crank-Nicolson on the grid's RadialOperator A, with the
-nonlinearity evaluated at the field average via fixed-point iteration.
-Because A is symmetric under the finite-volume cell measure and the
-frozen nonlinear multiplier is real, the scheme conserves the cell-measure
-mass identically (up to the inner tolerance); that discrete mass, and the
+The stepper is the relaxation scheme of C. Besse (SIAM J. Numer. Anal. 42,
+2004) on the grid's RadialOperator A.  The nonlinear potential lives on
+the half steps, V^{-1/2} = |Phi^0|^{p-1} and
+V^{n+1/2} = 2 |Phi^n|^{p-1} - V^{n-1/2}, and each step is one tridiagonal
+solve, made by the operator's own shifted solve:
+    (i/dt - A/2 + V^{n+1/2}/2) Phi^{n+1} = (i/dt + A/2 - V^{n+1/2}/2) Phi^n.
+The scheme is linearly implicit: there is no inner iteration, so a step
+cannot stall.  Because A is symmetric under the finite-volume cell
+measure and V is real, each step is a Cayley transform and conserves the
+cell-measure mass exactly (to roundoff); that discrete mass, and the
 energy built on the operator's face conductances, are what the histories
-record.  This is the mass-exact midpoint scheme of Delfour-Fortin-Payre
-(J. Comput. Phys. 44, 1981).  The Crank-Nicolson matrix i/dt - A/2 is
-constant, so it is LU-factored once per run (LAPACK ?gttrf) and every
-inner iteration only back-substitutes (?gttrs).
+record.  A standing wave keeps |Phi| fixed, so the scheme moves it by an
+exact discrete rotation.
 
 A run ends in one of three ways, recorded as `EvolutionRecord.end_reason`:
 "completed" (the whole span was evolved), "blowup_cap" (sup|Phi| exceeded
-the cap) or "stalled" (the inner fixed point did not converge, or its
-iterate overflowed, so the step could not be taken).  The probe is
-one-sided evidence only: it perturbs one standing wave along one
-direction, nothing more.
+the cap) or "nonfinite" (the field or its potential overflowed, so the
+next step could not be taken).  The probe is one-sided evidence only: it
+perturbs one standing wave along one direction, nothing more.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .branch import BranchPoint
 from .core import (
@@ -63,7 +65,7 @@ class EvolutionRecord:
     """Sampled conservation and orbit-distance histories.
 
     `end_reason` says why the run ended: "completed", "blowup_cap" or
-    "stalled"; `blowup_time` is set for the latter two.
+    "nonfinite"; `blowup_time` is set for the latter two.
     """
 
     times: np.ndarray
@@ -73,20 +75,6 @@ class EvolutionRecord:
     final: ComplexField
     blowup_time: float | None = None
     end_reason: str = "completed"
-
-
-def _cn_solver(op, dt):
-    """Return b -> x solving (i/dt - A/2) x = b, overwriting b; the matrix
-    is factored here, once, with the same pivoted elimination as LAPACK
-    ?gtsv."""
-    dl, d, du, du2, ipiv, info = zgttrf(
-        -0.5 * op.lower, 1j / dt - 0.5 * op.diag, -0.5 * op.upper)
-    if info != 0:
-        raise np.linalg.LinAlgError("singular Crank-Nicolson matrix")
-
-    def solve(b):
-        return zgttrs(dl, d, du, du2, ipiv, b, overwrite_b=1)[0]
-    return solve
 
 
 def _mass(grid, y):
@@ -135,20 +123,19 @@ def orbit_distance(field: ComplexField, U: RadialProfile) -> float:
 
 def evolve(initial: ComplexField, params: ProblemParams, dt: float, T: float,
            sample_every: int = 10, reference: RadialProfile | None = None,
-           inner_tol: float = 1e-12, max_inner: int = 60,
            blowup_cap: float | None = None) -> EvolutionRecord:
-    """Crank-Nicolson evolution over [0, T] with step dt.
+    """Relaxation evolution over [0, T] with step dt.
 
     dt may be negative (backward evolution); T is the total evolved span.
     Histories are sampled every `sample_every` steps plus the endpoints.
-    Raises StepSizeError if the inner fixed point stalls or its iterate
-    overflows, and BlowUpError if sup|Phi| exceeds the cap; both carry the
-    partial record.
+    Raises BlowUpError, carrying the partial record, if sup|Phi| exceeds
+    the cap or if the field or its potential is no longer finite; the
+    record's `end_reason` tells the two apart.
     """
     if dt == 0.0 or T < abs(dt):
         raise ParameterError("need dt != 0 and T >= |dt|")
-    if sample_every < 1 or max_inner < 1:
-        raise ParameterError("sample_every and max_inner must be >= 1")
+    if sample_every < 1:
+        raise ParameterError("sample_every must be >= 1")
     p = params.p
     grid = initial.grid
     op = grid.operator
@@ -156,8 +143,10 @@ def evolve(initial: ComplexField, params: ProblemParams, dt: float, T: float,
     cap = blowup_cap if blowup_cap is not None else \
         DEFAULT_BLOWUP_FACTOR * float(np.max(np.abs(y)) + 1e-300)
 
-    idt = 1j / dt
-    cn_solve = _cn_solver(op, dt)
+    # each step, times -2:
+    #   (A - V - 2i/dt) Phi^{n+1} = (V - 2i/dt) Phi^n - A Phi^n
+    i2dt = 2j / dt
+    pot = np.abs(y) ** (p - 1.0)
 
     n_steps = int(round(T / abs(dt)))
     times = [initial.time]
@@ -171,28 +160,15 @@ def evolve(initial: ComplexField, params: ProblemParams, dt: float, T: float,
 
     t = initial.time
     for step in range(1, n_steps + 1):
-        rhs_lin = idt * y + 0.5 * op.apply(y)
-        y_new = y.copy()
-        tol = inner_tol * max(1.0, float(np.max(np.abs(y))))
-        # A diverging iterate overflows to inf/NaN; that ends the step like
-        # a stall (NaN fails `delta <= tol`), so its warnings stay in here.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(max_inner):
-                ybar = 0.5 * (y + y_new)
-                nl = np.abs(ybar) ** (p - 1.0) * ybar
-                y_next = cn_solve(rhs_lin - nl)
-                delta = float(np.max(np.abs(y_next - y_new)))
-                y_new = y_next
-                if delta <= tol or not math.isfinite(delta):
-                    break
-        if not delta <= tol:
-            partial = _build_record(grid, times, masses, energies,
-                                    dists, y, t, end_reason="stalled")
-            raise StepSizeError(
-                "inner fixed point stalled; reduce dt",
-                record=partial, dt=dt, time=t, residual=delta,
-            )
-        y = y_new
+        pot = 2.0 * np.abs(y) ** (p - 1.0) - pot
+        rhs = (pot - i2dt) * y - op.apply(y)
+        # an inf or NaN in Phi^n, V or A Phi^n makes this sum non-finite
+        if not cmath.isfinite(rhs.sum()):
+            record = _build_record(grid, times, masses, energies,
+                                   dists, y, t, end_reason="nonfinite")
+            raise BlowUpError(f"field or potential not finite at t = {t:.6g}",
+                              hit_time=t, record=record)
+        y = op.solve(-pot - i2dt, rhs)
         t = initial.time + step * dt
         sup = float(np.max(np.abs(y)))
         hit_cap = sup > cap
@@ -280,9 +256,9 @@ def stability_probe(point: BranchPoint, delta: float, T: float,
     delta = 0 reproduces the discrete standing wave exactly.
 
     A run that leaves the perturbative regime entirely -- the blow-up cap
-    is hit, or the field grows until the implicit step loses its
-    contraction -- returns the partial record with `blowup_time` set:
-    for an instability probe that departure is the measurement.
+    is hit, or the field stops being finite -- returns the partial record
+    with `blowup_time` set: for an instability probe that departure is
+    the measurement.
     """
     params = point.params
     U = discrete_standing_wave(point)
@@ -301,7 +277,3 @@ def stability_probe(point: BranchPoint, delta: float, T: float,
                       reference=U, blowup_cap=blowup_cap)
     except BlowUpError as exc:
         return exc.record
-    except StepSizeError as exc:
-        if exc.record is not None and len(exc.record.times) > 1:
-            return exc.record
-        raise

@@ -1,6 +1,7 @@
 """Normalization, continuation, mass selection, and stability tagging."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from nlsball.errors import (
     DomainError,
     NoSolutionError,
     ParameterError,
+    SolverError,
 )
 
 P13 = ProblemParams(N=1, p=3.0)
@@ -247,6 +249,15 @@ class TestStability:
             if 1.5 * alpha_star < pt.alpha < 10.0 * alpha_star:
                 assert pt.stability is StabilityTag.UNSTABLE
 
+    def test_equal_alpha_endpoint_raises(self, branch_13):
+        # the last point's one-sided quotient divides by alpha_3 - alpha_2
+        pts = branch_13.points[:3]
+        last = replace(pts[-1], lam=pts[-1].lam + 0.1)
+        with pytest.raises(SolverError) as exc:
+            classify_stability(replace(branch_13, points=pts + (last,)))
+        assert exc.value.diagnostics == {"i": 3, "lam": last.lam,
+                                         "alpha": last.alpha}
+
     def test_defocusing_unknown(self, branch_defoc):
         tagged = classify_stability(branch_defoc)
         assert all(pt.stability is StabilityTag.UNKNOWN for pt in tagged.points)
@@ -283,6 +294,15 @@ class TestDerivativeEstimates:
         du = pt.profile.derivative_values()
         dv = d.v.derivative_values()
         assert grid.integrate(du * dv) == pytest.approx(0.5, abs=5e-2)
+
+    def test_equal_alpha_neighbors_raise(self, branch_13):
+        pt = branch_13.points[5]
+        flat = replace(branch_13, points=(pt, replace(pt, lam=pt.lam + 0.5),
+                                          replace(pt, lam=pt.lam + 1.0)))
+        with pytest.raises(SolverError) as exc:
+            flat.derivative(1)
+        assert exc.value.diagnostics == {"i": 1, "lam": pt.lam + 0.5,
+                                         "alpha": pt.alpha}
 
     def test_requires_neighbors(self, branch_13):
         with pytest.raises(ParameterError):

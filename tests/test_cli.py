@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -158,6 +159,20 @@ class TestVerifyCommand:
         assert doc["pass"] is False
         assert "pohozaev" in doc["failures"]
 
+    def test_equal_alpha_neighbors_exit_1(self, tmp_path, capsys,
+                                          monkeypatch, branch_13):
+        # alpha_lam = 0 at the middle point: a typed SolverError, exit 1
+        pt = branch_13.points[5]
+        flat = replace(branch_13, points=(pt, replace(pt, lam=pt.lam + 0.5),
+                                          replace(pt, lam=pt.lam + 1.0)))
+        monkeypatch.setattr("nlsball.cli._traced_branch",
+                            lambda cfg, sign: flat)
+        cfg = write_cfg(tmp_path / "c.cfg", N=1, p=3.0, lambda_min=0.0,
+                        lambda_max=8.0, num_points=3, n_nodes=1025)
+        assert main(["verify", "--config", cfg]) == 1
+        assert "solver failure: alpha does not change" in \
+            capsys.readouterr().err
+
 
 class TestProbeCommand:
     def test_stable_run(self, tmp_path):
@@ -182,7 +197,7 @@ class TestProbeCommand:
                    in out.read_text().splitlines())
 
     def test_overflowing_probe_exit_code(self, tmp_path):
-        # the supercritical fixed-point iterate overflows at this delta
+        # the supercritical run reaches the blow-up cap at t = 0.173
         cfg = write_cfg(tmp_path / "c.cfg", N=3, p=3.0, lam=5.0, delta=5.61e-4,
                         T=50.0, dt=2.5e-4, n_nodes=1025, sample_every=40)
         out = tmp_path / "p.csv"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 from scipy.special import jn_zeros
 
 from nlsball import (
@@ -118,6 +119,37 @@ class TestRadialOperator:
         want[:-1] += upper * y[1:-1]
         want[1:] += lower * y[:-2]
         assert np.array_equal(op.apply(y), want)
+
+    @pytest.mark.parametrize("N", [1, 3])
+    @pytest.mark.parametrize("dt", [1e-3, -2.5e-4])
+    def test_complex_shift_matches_dense(self, N, dt):
+        # the evolution step: shift -V - 2i/dt with a real potential V
+        op = make_grid(ProblemParams(N, 3.0), 257, 1.0).operator
+        m = len(op.diag)
+        rng = np.random.default_rng(N)
+        shift = -rng.uniform(0.0, 50.0, m) - 2j / dt
+        rhs = rng.normal(size=m) + 1j * rng.normal(size=m)
+        dense = (np.diag(op.diag + shift) + np.diag(op.upper, 1)
+                 + np.diag(op.lower, -1))
+        want = np.linalg.solve(dense, rhs)
+        got = op.solve(shift, rhs)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("N", [1, 3])
+    def test_real_solve_matches_real_build(self, N):
+        # real shifts and right-hand sides keep the real banded array
+        op = make_grid(ProblemParams(N, 3.0), 513, 1.0).operator
+        m = len(op.diag)
+        rng = np.random.default_rng(N)
+        rhs = rng.normal(size=m)
+        for shift in (2.5, rng.uniform(-5.0, 5.0, m)):
+            ab = np.zeros((3, m))
+            ab[0, 1:] = op.upper
+            ab[1, :] = op.diag + shift
+            ab[2, :-1] = op.lower
+            got = op.solve(shift, rhs)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, solve_banded((1, 1), ab, rhs))
 
     @settings(max_examples=40, deadline=None)
     @given(N=st.sampled_from([1, 2, 3, 5]), n=st.integers(16, 3000),

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.linalg import solve_banded
 
 from nlsball import (
     ComplexField,
@@ -23,7 +22,6 @@ from nlsball import (
     stability_probe,
 )
 from nlsball.evolve import (
-    _cn_solver,
     _grad_form,
     _h1_inner,
     _mass,
@@ -63,22 +61,6 @@ class TestDiscretization:
         pairing = float((op.vol * op.apply(y).real) @ y.real) * grid.omega_n
         assert pairing == pytest.approx(_grad_form(grid, y), rel=1e-12)
 
-    @pytest.mark.parametrize("N", [1, 3])
-    @pytest.mark.parametrize("dt", [1e-3, -2.5e-4])
-    def test_cn_solver_matches_solve_banded(self, N, dt):
-        op = make_grid(ProblemParams(N=N, p=3.0), 1025, 1.0).operator
-        m = len(op.diag)
-        ab = np.zeros((3, m), dtype=complex)
-        ab[0, 1:] = -0.5 * op.upper
-        ab[1, :] = 1j / dt - 0.5 * op.diag
-        ab[2, :-1] = -0.5 * op.lower
-        solve = _cn_solver(op, dt)
-        rng = np.random.default_rng(N)
-        for _ in range(3):
-            b = rng.normal(size=m) + 1j * rng.normal(size=m)
-            assert np.array_equal(solve(b.copy()),
-                                  solve_banded((1, 1), ab, b))
-
 
 class TestEvolve:
     def test_parameter_guards(self, standing_wave):
@@ -89,7 +71,7 @@ class TestEvolve:
         with pytest.raises(ParameterError):
             evolve(field, P13, 0.5, 0.1)
         with pytest.raises(ParameterError):
-            evolve(field, P13, 1e-3, 1.0, max_inner=0)
+            evolve(field, P13, 1e-3, 1.0, sample_every=0)
 
     def test_boundary_enforced(self, standing_wave):
         bad = standing_wave.values.astype(complex).copy()
@@ -155,6 +137,21 @@ class TestEvolve:
         assert exc.value.record.end_reason == "blowup_cap"
         assert exc.value.hit_time <= 1.0
 
+    def test_overflow_ends_as_nonfinite(self, standing_wave):
+        # 2 |Phi|^2 overflows in the first potential update; without a cap
+        # the run must still end typed, with the finite initial state
+        eig = principal_eigenpair(P13, standing_wave.grid)
+        vals = 1e154 * eig.phi1.values.astype(complex)
+        vals[-1] = 0.0
+        field = ComplexField(standing_wave.grid, vals, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(BlowUpError) as exc:
+            evolve(field, P13, 1e-3, 1.0, blowup_cap=float("inf"))
+        rec = exc.value.record
+        assert rec.end_reason == "nonfinite"
+        assert rec.blowup_time == 0.0
+        assert np.array_equal(rec.final.values, field.values)
+
     @settings(max_examples=30, deadline=None)
     @given(N=st.sampled_from([1, 2, 3]),
            p=st.sampled_from([2.0, 3.0, 4.5]),
@@ -216,6 +213,25 @@ class TestStabilityProbe:
         assert np.max(rec.orbit_distance_history) < 1e-4
         assert rec.blowup_time is None
 
+    def test_standing_wave_is_exact_rotation(self, stable_point):
+        # |U| is constant along the orbit, so the relaxed potential is exact
+        # and every step rotates U by the same phase: only roundoff remains
+        rec = stability_probe(stable_point, 0.0, 4.0, 1e-3, sample_every=200)
+        assert np.max(rec.orbit_distance_history) < 1e-6
+        mass = rec.mass_history
+        assert np.max(np.abs(mass / mass[0] - 1.0)) < 1e-12
+
+    def test_quintic_energy_drift(self):
+        # the relaxed potential makes the modified energy exact only for
+        # p = 3; the recorded energy must still meet criterion 12's bar
+        p15 = ProblemParams(N=1, p=5.0)
+        prof = solve_ball_profile(p15, 1.0, +1, ShootConfig(n_nodes=1025))
+        rec = stability_probe(normalize(prof, 1.0, +1, p15), 1e-3, 20.0,
+                              2e-3, sample_every=200)
+        energy = rec.energy_history
+        assert rec.end_reason == "completed"
+        assert np.max(np.abs(energy - energy[0])) / abs(energy[0]) < 1e-5
+
     def test_stable_point_bounded(self, stable_point):
         rec = stability_probe(stable_point, 1e-3, 10.0, 2e-3, sample_every=200)
         assert np.max(rec.orbit_distance_history) < 1e-2
@@ -227,19 +243,18 @@ class TestStabilityProbe:
                               sample_every=40)
         d = rec.orbit_distance_history
         assert np.max(d) / d[0] >= 10.0
-        # the fixed point stalls (sup|Phi| ~ 79) before the cap is reached
-        assert rec.end_reason == "stalled"
-        assert rec.blowup_time == pytest.approx(0.15425)
+        assert rec.end_reason == "blowup_cap"
+        assert rec.blowup_time == pytest.approx(0.155)
 
-    def test_overflowing_iterate_ends_as_stall(self, supercritical_point):
-        # at this delta the inner iterate overflows to inf/NaN before the
-        # stall check; the partial record must come back, warning-free
+    def test_small_delta_reaches_cap_warning_free(self, supercritical_point):
+        # the field grows longer before the cap than at delta = 1e-3; no
+        # step may overflow on the way
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             rec = stability_probe(supercritical_point, 5.61e-4, 50.0, 2.5e-4,
                                   sample_every=40)
-        assert rec.end_reason == "stalled"
-        assert rec.blowup_time == pytest.approx(0.1725)
+        assert rec.end_reason == "blowup_cap"
+        assert rec.blowup_time == pytest.approx(0.173)
         assert np.all(np.isfinite(rec.final.values))
 
     def test_focusing_only(self, branch_defoc):
