@@ -29,6 +29,7 @@ from .core import (
 from .errors import (
     DegenerateInputError,
     DomainError,
+    NlsBallError,
     NoSolutionError,
     ParameterError,
     SolverError,
@@ -208,8 +209,10 @@ def trace(params: ProblemParams, lambda_grid, sign: int,
     """Trace the branch over the given multiplier grid with warm starts.
 
     Points are returned ordered by alpha (ascending), one per solvable
-    lam; failed solves are collected rather than raised so a partial
-    branch still comes back with its diagnostics.
+    lam; failed solves (an NlsBallError or an ArithmeticError) are
+    collected as "Type: message" strings rather than raised, so a partial
+    branch still comes back with its diagnostics.  Any other exception is
+    a programming error and propagates.
     """
     config = config or ShootConfig()
     if sign not in (+1, -1):
@@ -227,7 +230,7 @@ def trace(params: ProblemParams, lambda_grid, sign: int,
         try:
             point, seed = _solve_normalized(params, lam, sign, grid, config, seed)
             points.append(point)
-        except Exception as exc:  # noqa: BLE001 - diagnostics survive in the branch
+        except (NlsBallError, ArithmeticError) as exc:
             failures.append((float(lam), f"{type(exc).__name__}: {exc}"))
     points.sort(key=lambda pt: pt.alpha)
     return Branch(sign=sign, params=params, config=config,

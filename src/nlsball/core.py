@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
 from scipy.special import jv
 from scipy.optimize import brentq
 
@@ -203,12 +203,29 @@ class RadialOperator:
 
     def solve(self, shift, rhs: np.ndarray) -> np.ndarray:
         """x with (A + diag(shift)) x = rhs; `shift` is a scalar or one
-        value per unknown, real or complex."""
-        ab = np.zeros((3, len(self.diag)), np.result_type(shift, rhs, float))
-        ab[0, 1:] = self.upper
-        ab[1, :] = self.diag + shift
-        ab[2, :-1] = self.lower
-        return solve_banded((1, 1), ab, rhs)
+        value per unknown, real or complex.
+
+        One LAPACK ?gtsv call (partial pivoting) on the stored bands; the
+        routine follows the dtype of the shifted diagonal and of rhs.
+        Raises SolverError when the shifted diagonal or rhs is not finite,
+        or when the system is singular.
+        """
+        d = self.diag + shift
+        for name, values in (("shift", d), ("rhs", rhs)):
+            finite = np.isfinite(values)
+            if not finite.all():
+                index = int(np.argmin(finite))
+                raise SolverError(f"tridiagonal solve: {name} not finite",
+                                  array=name, index=index,
+                                  value=values[index].item())
+        gtsv, = get_lapack_funcs(("gtsv",), (d, rhs))
+        # d is ours to overwrite; the bands and rhs are copied by the wrapper
+        _, _, _, x, info = gtsv(self.lower, d, self.upper, rhs,
+                                overwrite_d=True)
+        if info > 0:
+            raise SolverError("tridiagonal solve: singular system", info=info,
+                              n=len(d))
+        return x
 
     def boundary_slope(self, values: np.ndarray) -> float:
         """u_r(R) of a Dirichlet profile from the integrated equation

@@ -146,7 +146,8 @@ def evolve(initial: ComplexField, params: ProblemParams, dt: float, T: float,
     # each step, times -2:
     #   (A - V - 2i/dt) Phi^{n+1} = (V - 2i/dt) Phi^n - A Phi^n
     i2dt = 2j / dt
-    pot = np.abs(y) ** (p - 1.0)
+    mod = np.abs(y)  # |Phi^n|, shared by the cap check and the potential
+    pot = mod ** (p - 1.0)
 
     n_steps = int(round(T / abs(dt)))
     times = [initial.time]
@@ -160,7 +161,7 @@ def evolve(initial: ComplexField, params: ProblemParams, dt: float, T: float,
 
     t = initial.time
     for step in range(1, n_steps + 1):
-        pot = 2.0 * np.abs(y) ** (p - 1.0) - pot
+        pot = 2.0 * mod ** (p - 1.0) - pot
         rhs = (pot - i2dt) * y - op.apply(y)
         # an inf or NaN in Phi^n, V or A Phi^n makes this sum non-finite
         if not cmath.isfinite(rhs.sum()):
@@ -170,7 +171,8 @@ def evolve(initial: ComplexField, params: ProblemParams, dt: float, T: float,
                               hit_time=t, record=record)
         y = op.solve(-pot - i2dt, rhs)
         t = initial.time + step * dt
-        sup = float(np.max(np.abs(y)))
+        mod = np.abs(y)
+        sup = float(np.max(mod))
         hit_cap = sup > cap
         if step % sample_every == 0 or step == n_steps or hit_cap:
             times.append(t)

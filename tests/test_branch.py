@@ -26,6 +26,7 @@ from nlsball import (
     solve_ball_profile,
     trace,
 )
+from nlsball import branch as branch_module
 from nlsball.core import RadialProfile
 from nlsball.errors import (
     DegenerateInputError,
@@ -144,6 +145,32 @@ class TestTrace:
         assert len(br.points) == 3
         assert len(br.failures) == 1
         assert br.failures[0][0] == -3.0
+
+    @pytest.mark.parametrize("exc,text", [
+        (SolverError("stalled", lam=-4.0), "SolverError: stalled"),
+        (ZeroDivisionError("float division by zero"),
+         "ZeroDivisionError: float division by zero")])
+    def test_solver_failures_collected(self, cfg_fast, monkeypatch,
+                                       exc, text):
+        real = branch_module._solve_ball_defocusing
+
+        def flaky(params, lam, grid, seed_values=None):
+            if lam == -4.0:
+                raise exc
+            return real(params, lam, grid, seed_values=seed_values)
+
+        monkeypatch.setattr(branch_module, "_solve_ball_defocusing", flaky)
+        br = trace(P13, [-3.0, -4.0, -5.0], -1, cfg_fast)
+        assert len(br.points) == 2
+        assert br.failures == ((-4.0, text),)
+
+    def test_programming_errors_propagate(self, cfg_fast, monkeypatch):
+        def broken(params, lam, grid, seed_values=None):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(branch_module, "_solve_ball_defocusing", broken)
+        with pytest.raises(TypeError):
+            trace(P13, [-3.0, -4.0, -5.0], -1, cfg_fast)
 
     def test_grid_validation(self, cfg_fast):
         with pytest.raises(ParameterError):

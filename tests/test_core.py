@@ -1,5 +1,6 @@
 """Grid, quadrature, profile, and eigenpair contracts."""
 
+import cmath
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from nlsball import (
     surface_measure,
 )
 from nlsball.core import RadialProfile
-from nlsball.errors import ParameterError
+from nlsball.errors import ParameterError, SolverError
 
 
 class TestProblemParams:
@@ -137,19 +138,57 @@ class TestRadialOperator:
 
     @pytest.mark.parametrize("N", [1, 3])
     def test_real_solve_matches_real_build(self, N):
-        # real shifts and right-hand sides keep the real banded array
+        # bit for bit the banded solve on the same array; real shifts and
+        # right-hand sides stay real
         op = make_grid(ProblemParams(N, 3.0), 513, 1.0).operator
         m = len(op.diag)
         rng = np.random.default_rng(N)
         rhs = rng.normal(size=m)
-        for shift in (2.5, rng.uniform(-5.0, 5.0, m)):
-            ab = np.zeros((3, m))
+        crhs = rhs + 1j * rng.normal(size=m)
+        evolve_shift = -rng.uniform(0.0, 50.0, m) - 2j / 2e-3
+        cases = [(2.5, rhs), (rng.uniform(-5.0, 5.0, m), rhs),
+                 (0.0, rhs),  # principal_eigenpair
+                 (evolve_shift, crhs),  # the relaxation step
+                 (evolve_shift, rhs)]  # real rhs, complex shift
+        bands = (op.lower.copy(), op.upper.copy())
+        for shift, b in cases:
+            ab = np.zeros((3, m), np.result_type(shift, b, float))
             ab[0, 1:] = op.upper
             ab[1, :] = op.diag + shift
             ab[2, :-1] = op.lower
-            got = op.solve(shift, rhs)
-            assert got.dtype == np.float64
-            assert np.array_equal(got, solve_banded((1, 1), ab, rhs))
+            got = op.solve(shift, b)
+            assert got.dtype == ab.dtype
+            assert np.array_equal(got, solve_banded((1, 1), ab, b))
+        # the solve leaves the stored bands alone
+        assert np.array_equal(op.lower, bands[0])
+        assert np.array_equal(op.upper, bands[1])
+
+    @pytest.mark.parametrize("array,index", [("shift", 0), ("shift", 7),
+                                             ("rhs", 14)])
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_nonfinite_input_raises(self, array, index, bad, dtype):
+        op = make_grid(ProblemParams(3, 3.0), 16, 1.0).operator
+        m = len(op.diag)
+        shift = np.ones(m, dtype)
+        rhs = np.ones(m, dtype)
+        {"shift": shift, "rhs": rhs}[array][index] = bad
+        with pytest.raises(SolverError) as exc:
+            op.solve(shift, rhs)
+        diag = exc.value.diagnostics
+        assert diag["array"] == array and diag["index"] == index
+        assert not cmath.isfinite(diag["value"])
+
+    @pytest.mark.parametrize("N", [1, 3])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_singular_system_raises(self, N, dtype):
+        # A - diag(A) has a zero diagonal; with 15 unknowns (odd) it is
+        # singular, and elimination stops at the last pivot
+        op = make_grid(ProblemParams(N, 3.0), 16, 1.0).operator
+        rhs = np.ones(len(op.diag), dtype)
+        with pytest.raises(SolverError) as exc:
+            op.solve(-op.diag, rhs)
+        assert exc.value.diagnostics["info"] == 15
 
     @settings(max_examples=40, deadline=None)
     @given(N=st.sampled_from([1, 2, 3, 5]), n=st.integers(16, 3000),

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import solve_banded
 
 from nlsball import (
     ComplexField,
@@ -72,6 +73,30 @@ class TestEvolve:
             evolve(field, P13, 0.5, 0.1)
         with pytest.raises(ParameterError):
             evolve(field, P13, 1e-3, 1.0, sample_every=0)
+
+    @pytest.mark.parametrize("params", [P13, ProblemParams(N=3, p=2.5)])
+    @pytest.mark.parametrize("dt", [1e-3, -2.5e-4])
+    def test_matches_reference_steps(self, params, dt):
+        # the relaxation scheme written out with a banded solve; three
+        # steps, so the potential update after a solve is covered too
+        grid = make_grid(params, 257, 1.0)
+        op = grid.operator
+        rng = np.random.default_rng(7)
+        values = rng.normal(size=257) + 1j * rng.normal(size=257)
+        values[-1] = 0.0
+        rec = evolve(ComplexField(grid, values, 0.0), params, dt, 3 * abs(dt),
+                     sample_every=1)
+        y = values[:-1]
+        pot = np.abs(y) ** (params.p - 1.0)
+        ab = np.zeros((3, len(y)), complex)
+        ab[0, 1:] = op.upper
+        ab[2, :-1] = op.lower
+        for _ in range(3):
+            pot = 2.0 * np.abs(y) ** (params.p - 1.0) - pot
+            ab[1, :] = op.diag - pot - 2j / dt
+            y = solve_banded((1, 1), ab, (pot - 2j / dt) * y - op.apply(y))
+        assert rec.end_reason == "completed"
+        assert np.array_equal(rec.final.values[:-1], y)
 
     def test_boundary_enforced(self, standing_wave):
         bad = standing_wave.values.astype(complex).copy()
