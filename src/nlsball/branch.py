@@ -237,55 +237,81 @@ def trace(params: ProblemParams, lambda_grid, sign: int,
                   points=tuple(points), failures=tuple(failures))
 
 
+def _resolver(params, sign, grid, config, known=()):
+    """Memoized solver lam -> BranchPoint for the refinements.
+
+    Each lam is solved at most once; the `known` points count as solved.
+    A focusing solve starts from the center value a = u(0) mu^{1/(p-1)}
+    of the solved point nearest in lam.  Defocusing solves stay cold: a
+    warm Newton stops at a different point inside its tolerance, and that
+    noise costs a root finder more iterations than the warm start saves.
+    """
+    solved = {pt.lam: pt for pt in known}
+
+    def solve(lam):
+        lam = float(lam)
+        if lam not in solved:
+            seed = None
+            if sign > 0 and solved:
+                near = solved[min(solved, key=lambda x: abs(x - lam))]
+                seed = near.profile.values[0] * near.mu ** (
+                    1.0 / (params.p - 1.0))
+            solved[lam], _ = _solve_normalized(params, lam, sign, grid,
+                                               config, seed)
+        return solved[lam]
+
+    return solve
+
+
 def point_at_alpha(params: ProblemParams, alpha_target: float, sign: int,
-                   config: ShootConfig | None = None,
-                   lam_bracket: tuple[float, float] | None = None) -> BranchPoint:
+                   config: ShootConfig | None = None) -> BranchPoint:
     """Solve for the branch point with a prescribed alpha.
 
-    Uses the monotone map lam -> alpha (increasing on S+, decreasing in
-    -lam on S-) and Brent root finding with fresh solves.
+    On both curves alpha increases with the offset s = |lam + lambda_1|
+    from the endpoint: with lam on S+, and as lam decreases on S-.  The
+    bracket search starts at s = max(lambda_1, 1), multiplies s by 4
+    while alpha is below the target and otherwise divides it by 4, down
+    to the floor 1e-8 max(lambda_1, 1); Brent root finding in lam then
+    finishes.  Every lam is solved once; focusing solves are warm-started
+    from the nearest solved lam, defocusing ones stay cold (see
+    `_resolver`).
     """
     config = config or ShootConfig()
     grid = make_grid(params, config.n_nodes, 1.0)
     lam1 = dirichlet_lambda1_exact(params.N)
     if alpha_target <= lam1:
         raise DomainError(f"alpha must exceed lambda_1 = {lam1:.6f}")
-    cache: dict[float, BranchPoint] = {}
+    solve = _resolver(params, sign, grid, config)
 
     def alpha_of(lam):
-        point, _ = _solve_normalized(params, lam, sign, grid, config)
-        cache[lam] = point
-        return point.alpha - alpha_target
+        return solve(lam).alpha - alpha_target
 
-    if lam_bracket is None:
-        if sign > 0:
-            lo = -lam1 + 1e-8 * max(lam1, 1.0)
-            hi = -lam1 + max(lam1, 1.0)
-            while alpha_of(hi) < 0.0:
-                hi = -lam1 + 4.0 * (hi + lam1)
-                if hi > 1e8:
-                    raise DomainError("alpha target not reached for lam <= 1e8")
-        else:
-            hi = -lam1 - 1e-8 * max(lam1, 1.0)
-            lo = -lam1 - max(lam1, 1.0)
-            while alpha_of(lo) < 0.0:
-                lo = -lam1 + 4.0 * (lo + lam1)
-                if lo < -1e8:
-                    raise DomainError("alpha target not reached for lam >= -1e8")
-    else:
-        lo, hi = lam_bracket
+    def lam_at(s):
+        return -lam1 + sign * s
+
+    s = unit = max(lam1, 1.0)
+    floor = 1e-8 * unit
+    below = alpha_of(lam_at(s)) < 0.0
+    while True:
+        s_prev, s = s, 4.0 * s if below else max(0.25 * s, floor)
+        if abs(lam_at(s)) > 1e8:
+            raise DomainError("alpha target not reached for |lam| <= 1e8")
+        if (alpha_of(lam_at(s)) < 0.0) != below:
+            break
+        if s == floor:
+            raise DomainError(
+                f"alpha target {alpha_target} not bracketed at the "
+                f"endpoint offset floor {floor:.3g}")
+    lo, hi = sorted((lam_at(s_prev), lam_at(s)))
     lam_star = brentq(alpha_of, lo, hi, xtol=1e-13, rtol=1e-13)
-    if lam_star in cache:
-        return cache[lam_star]
-    point, _ = _solve_normalized(params, lam_star, sign, grid, config)
-    return point
+    return solve(lam_star)
 
 
 def find_mu_star(branch: Branch):
     """Locate the interior maximum of mu(alpha) on a supercritical S+.
 
     Returns (mu_star, alpha_star, rho_star) with rho* = (mu*)^{2/(p-1)},
-    refined by golden-section search in lam with fresh solves.
+    refined by golden-section search in lam with warm-started solves.
     """
     if branch.sign < 0:
         raise DomainError("mu has no interior maximum on the defocusing curve")
@@ -301,24 +327,16 @@ def find_mu_star(branch: Branch):
         raise DomainError(
             "maximum of mu not bracketed; sweep a wider lambda window"
         )
-    grid = branch.points[j].profile.grid
-    params, config = branch.params, branch.config
-    lo = branch.points[j - 1].lam
-    hi = branch.points[j + 1].lam
-    pt_j = branch.points[j]
-    # center value of the unnormalized profile seeds the warm restarts
-    seed = pt_j.profile.values[0] * pt_j.mu ** (1.0 / (params.p - 1.0))
-
-    def eval_mu(lam, seed_a):
-        return _solve_normalized(params, lam, +1, grid, config, seed_a)
-
+    params = branch.params
+    lo_pt, pt_j, hi_pt = branch.points[j - 1:j + 2]
+    solve = _resolver(params, +1, pt_j.profile.grid, branch.config,
+                      known=(lo_pt, pt_j, hi_pt))
+    lo, hi = lo_pt.lam, hi_pt.lam
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
-    p1, seed = eval_mu(x1, seed)
-    p2, seed = eval_mu(x2, seed)
+    p1, p2 = solve(x1), solve(x2)
     best = max([pt_j, p1, p2], key=lambda q: q.mu)
-    lo_pt, hi_pt = branch.points[j - 1], branch.points[j + 1]
     for _ in range(80):
         if abs(hi_pt.alpha - lo_pt.alpha) <= 1e-4 * best.alpha:
             break
@@ -326,12 +344,12 @@ def find_mu_star(branch: Branch):
             hi, hi_pt = x2, p2
             x2, p2 = x1, p1
             x1 = hi - invphi * (hi - lo)
-            p1, seed = eval_mu(x1, seed)
+            p1 = solve(x1)
         else:
             lo, lo_pt = x1, p1
             x1, p1 = x2, p2
             x2 = lo + invphi * (hi - lo)
-            p2, seed = eval_mu(x2, seed)
+            p2 = solve(x2)
         best = max([best, p1, p2], key=lambda q: q.mu)
     rho_star = best.mu ** (2.0 / (params.p - 1.0))
     return best.mu, best.alpha, rho_star
@@ -340,7 +358,9 @@ def find_mu_star(branch: Branch):
 def solutions_at_mass(branch: Branch, rho: float) -> list[BranchPoint]:
     """All branch points with prescribed mass rho, i.e. mu = rho^{(p-1)/2}.
 
-    Crossings of the traced polyline are refined by local re-solving in
+    Crossings of the traced polyline are refined by Brent root finding in
+    lam between the two branch points that bracket them; those points are
+    not solved again, and new solves start warm from the nearest solved
     lam.  The count follows the regime: one in the subcritical range, one
     for admissible critical masses, zero or two or more supercritically.
     """
@@ -348,11 +368,16 @@ def solutions_at_mass(branch: Branch, rho: float) -> list[BranchPoint]:
         raise ParameterError(f"mass must be positive, got {rho}")
     if branch.sign < 0:
         raise ParameterError("prescribed-mass selection lives on the focusing curve")
-    params, config = branch.params, branch.config
+    params = branch.params
     mu_target = rho ** ((params.p - 1.0) / 2.0)
     mus = branch.mus
     lams = branch.lambdas
-    grid = branch.points[0].profile.grid
+    solve = _resolver(params, +1, branch.points[0].profile.grid,
+                      branch.config, known=branch.points)
+
+    def g(lam):
+        return solve(lam).mu - mu_target
+
     out: list[BranchPoint] = []
     for i in range(len(mus) - 1):
         f0, f1 = mus[i] - mu_target, mus[i + 1] - mu_target
@@ -360,12 +385,8 @@ def solutions_at_mass(branch: Branch, rho: float) -> list[BranchPoint]:
             out.append(branch.points[i])
             continue
         if f0 * f1 < 0.0:
-            def g(lam):
-                point, _ = _solve_normalized(params, lam, +1, grid, config)
-                return point.mu - mu_target
             lam_star = brentq(g, lams[i], lams[i + 1], xtol=1e-12, rtol=1e-13)
-            point, _ = _solve_normalized(params, lam_star, +1, grid, config)
-            out.append(point)
+            out.append(solve(lam_star))
     if len(mus) >= 1 and mus[-1] == mu_target:
         out.append(branch.points[-1])
     out.sort(key=lambda pt: pt.alpha)

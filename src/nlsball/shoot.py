@@ -62,7 +62,6 @@ class ShootConfig:
     ode_tolerance: float = 1e-10
     bisection_tolerance: float = 1e-14  # relative width of the a-bracket
     max_bisections: int = 200
-    event_definitions: tuple[str, str] = ("zero-crossing", "slope-sign")
     n_nodes: int = 2049
 
     def __post_init__(self):
@@ -104,6 +103,9 @@ def _integrate(a, lam, mu, n_dim, p, R, n_cells, substeps, record,
     extension u |u|^{p-1} keeps it bounded), exposing the smooth shooting
     functional a -> u(R).
     """
+    # numpy scalars (lam from an array, a from a seed) make every step
+    # below about 3x slower; on Python floats the arithmetic is the same
+    a, lam, mu, p, R = float(a), float(lam), float(mu), float(p), float(R)
     pm1 = p - 1.0
     Nm1 = n_dim - 1.0
     h = R / (n_cells * substeps)

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy.integrate import quad
 
 from nlsball import (
     ProblemParams,
+    ShootConfig,
     StabilityTag,
     action_value,
     ball_volume,
@@ -27,6 +29,7 @@ from nlsball import (
     trace,
 )
 from nlsball import branch as branch_module
+from nlsball.branch import _solve_normalized
 from nlsball.core import RadialProfile
 from nlsball.errors import (
     DegenerateInputError,
@@ -172,6 +175,17 @@ class TestTrace:
         with pytest.raises(TypeError):
             trace(P13, [-3.0, -4.0, -5.0], -1, cfg_fast)
 
+    def test_numpy_and_list_grids_agree(self):
+        cfg = ShootConfig(n_nodes=257)
+        lams = geometric_lambda_grid(P13, -2.0, 40.0, 4, sign=+1)
+        from_array = trace(P13, lams, +1, cfg)
+        from_list = trace(P13, [float(x) for x in lams], +1, cfg)
+        for name in ("alphas", "mus", "lambdas"):
+            assert np.array_equal(getattr(from_array, name),
+                                  getattr(from_list, name))
+        for a, b in zip(from_array.points, from_list.points, strict=True):
+            assert np.array_equal(a.profile.values, b.profile.values)
+
     def test_grid_validation(self, cfg_fast):
         with pytest.raises(ParameterError):
             trace(P13, [1.0, 0.5], +1, cfg_fast)
@@ -193,6 +207,17 @@ class TestPointAtAlpha:
     def test_below_lambda1_rejected(self, cfg_fast):
         with pytest.raises(DomainError):
             point_at_alpha(P13, 1.0, +1, cfg_fast)
+
+    @pytest.mark.parametrize("offset", [-1.0, 1.0])
+    def test_unbracketed_target_rejected(self, cfg_fast, monkeypatch, offset):
+        # alpha stays below the target up to |lam| = 1e8, or above it
+        # down to the endpoint offset floor
+        lam1 = math.pi**2 / 4
+        flat = SimpleNamespace(alpha=lam1 + 0.5 + offset)
+        monkeypatch.setattr(branch_module, "_solve_normalized",
+                            lambda *args: (flat, None))
+        with pytest.raises(DomainError):
+            point_at_alpha(P13, lam1 + 0.5, -1, cfg_fast)
 
 
 class TestMuStar:
@@ -237,6 +262,48 @@ class TestSolutionsAtMass:
             solutions_at_mass(branch_13, -1.0)
         with pytest.raises(ParameterError):
             solutions_at_mass(branch_defoc, 1.0)
+
+
+class TestRefinementSolves:
+    """The refinements solve each lam at most once, never re-solve a
+    branch point, and land on the point a cold solve gives."""
+
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        lams = []
+
+        def counting(params, lam, sign, grid, config, seed=None):
+            lams.append(float(lam))
+            return _solve_normalized(params, lam, sign, grid, config, seed)
+
+        monkeypatch.setattr(branch_module, "_solve_normalized", counting)
+        return lams
+
+    @staticmethod
+    def assert_cold(pt, sign, cfg):
+        cold, _ = _solve_normalized(pt.params, pt.lam, sign,
+                                    pt.profile.grid, cfg)
+        assert pt.mu == pytest.approx(cold.mu, rel=1e-12)
+
+    @pytest.mark.parametrize("eps", [1e-3, 2.5e-4])
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_endpoint_point_at_alpha(self, solved, cfg_fast, eps, sign):
+        pt = point_at_alpha(P13, math.pi**2 / 4 + eps, sign, cfg_fast)
+        assert len(set(solved)) == len(solved) <= 13
+        self.assert_cold(pt, sign, cfg_fast)
+
+    def test_find_mu_star(self, solved, branch_33):
+        find_mu_star(branch_33)
+        assert len(set(solved)) == len(solved)
+        assert not set(solved) & set(branch_33.lambdas)
+
+    def test_solutions_at_mass(self, solved, branch_33, cfg_fast):
+        sols = solutions_at_mass(branch_33, 6.0)
+        assert len(sols) == 2
+        assert len(set(solved)) == len(solved)
+        assert not set(solved) & set(branch_33.lambdas)
+        for pt in sols:
+            self.assert_cold(pt, +1, cfg_fast)
 
 
 class TestLeastEnergy:

@@ -22,6 +22,7 @@ from nlsball import (
     solve_whole_space,
 )
 from nlsball.errors import DomainError, ParameterError
+from nlsball.shoot import _integrate
 
 P13 = ProblemParams(N=1, p=3.0)
 P15 = ProblemParams(N=1, p=5.0)
@@ -40,6 +41,22 @@ class TestShootConfig:
             ShootConfig(ode_tolerance=0.0)
         with pytest.raises(ParameterError):
             ShootConfig(n_nodes=8)
+
+
+class TestIntegrate:
+    def test_numpy_scalars_run_as_floats(self):
+        # events off, so both runs cover the whole of [0, R]
+        ref = _integrate(2.0, 20.0, 1.0, 3, 3.0, 1.0, 256, 3, True,
+                         terminal_events=False)
+        got = _integrate(np.float64(2.0), np.float64(20.0), np.float64(1.0),
+                         3, np.float64(3.0), 1.0, 256, 3, True,
+                         terminal_events=False)
+        status, r_stop, u_nodes, v_nodes, u_end, v_end = got
+        assert status == ref[0] == "end"
+        assert [type(x) for x in (r_stop, u_end, v_end)] == [float] * 3
+        assert (r_stop, u_end, v_end) == (ref[1], ref[4], ref[5])
+        assert np.array_equal(u_nodes, ref[2])
+        assert np.array_equal(v_nodes, ref[3])
 
 
 class TestBallFocusing:
