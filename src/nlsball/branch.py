@@ -81,7 +81,6 @@ class Branch:
 
     sign: int
     params: ProblemParams
-    config: ShootConfig
     points: tuple[BranchPoint, ...]
     failures: tuple[tuple[float, str], ...] = ()
 
@@ -179,10 +178,10 @@ def normalize(profile: RadialProfile, lam: float, mu_sign: int,
     )
 
 
-def _solve_normalized(params, lam, sign, grid, config, seed=None):
+def _solve_normalized(params, lam, sign, grid, seed=None):
     """One continuation step: solve at lam, normalize; returns (point, seed)."""
     if sign > 0:
-        profile, a = _solve_ball_focusing(params, lam, grid, config, seed=seed)
+        profile, a = _solve_ball_focusing(params, lam, grid, seed=seed)
         return normalize(profile, lam, +1, params), a
     profile = _solve_ball_defocusing(params, lam, grid, seed_values=seed)
     return normalize(profile, lam, -1, params), profile.values
@@ -228,16 +227,16 @@ def trace(params: ProblemParams, lambda_grid, sign: int,
     seed = None
     for lam in lams:
         try:
-            point, seed = _solve_normalized(params, lam, sign, grid, config, seed)
+            point, seed = _solve_normalized(params, lam, sign, grid, seed)
             points.append(point)
         except (NlsBallError, ArithmeticError) as exc:
             failures.append((float(lam), f"{type(exc).__name__}: {exc}"))
     points.sort(key=lambda pt: pt.alpha)
-    return Branch(sign=sign, params=params, config=config,
-                  points=tuple(points), failures=tuple(failures))
+    return Branch(sign=sign, params=params, points=tuple(points),
+                  failures=tuple(failures))
 
 
-def _resolver(params, sign, grid, config, known=()):
+def _resolver(params, sign, grid, known=()):
     """Memoized solver lam -> BranchPoint for the refinements.
 
     Each lam is solved at most once; the `known` points count as solved.
@@ -256,8 +255,7 @@ def _resolver(params, sign, grid, config, known=()):
                 near = solved[min(solved, key=lambda x: abs(x - lam))]
                 seed = near.profile.values[0] * near.mu ** (
                     1.0 / (params.p - 1.0))
-            solved[lam], _ = _solve_normalized(params, lam, sign, grid,
-                                               config, seed)
+            solved[lam], _ = _solve_normalized(params, lam, sign, grid, seed)
         return solved[lam]
 
     return solve
@@ -281,7 +279,7 @@ def point_at_alpha(params: ProblemParams, alpha_target: float, sign: int,
     lam1 = dirichlet_lambda1_exact(params.N)
     if alpha_target <= lam1:
         raise DomainError(f"alpha must exceed lambda_1 = {lam1:.6f}")
-    solve = _resolver(params, sign, grid, config)
+    solve = _resolver(params, sign, grid)
 
     def alpha_of(lam):
         return solve(lam).alpha - alpha_target
@@ -329,7 +327,7 @@ def find_mu_star(branch: Branch):
         )
     params = branch.params
     lo_pt, pt_j, hi_pt = branch.points[j - 1:j + 2]
-    solve = _resolver(params, +1, pt_j.profile.grid, branch.config,
+    solve = _resolver(params, +1, pt_j.profile.grid,
                       known=(lo_pt, pt_j, hi_pt))
     lo, hi = lo_pt.lam, hi_pt.lam
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -373,7 +371,7 @@ def solutions_at_mass(branch: Branch, rho: float) -> list[BranchPoint]:
     mus = branch.mus
     lams = branch.lambdas
     solve = _resolver(params, +1, branch.points[0].profile.grid,
-                      branch.config, known=branch.points)
+                      known=branch.points)
 
     def g(lam):
         return solve(lam).mu - mu_target

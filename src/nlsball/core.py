@@ -26,6 +26,11 @@ from scipy.optimize import brentq
 
 from .errors import ParameterError, SolverError
 
+# inverse power iteration of `principal_eigenpair`: the step budget and the
+# Rayleigh-quotient residual it must end below, relative to max|diag A|
+EIGEN_TOLERANCE = 1e-12
+EIGEN_MAX_ITERATIONS = 500
+
 
 class Regime(Enum):
     SUBCRITICAL = "subcritical"
@@ -290,12 +295,12 @@ class EigenPair:
     phi1: RadialProfile
 
 
-def principal_eigenpair(params: ProblemParams, grid: RadialGrid,
-                        tol: float = 1e-12, max_iter: int = 500) -> EigenPair:
+def principal_eigenpair(params: ProblemParams, grid: RadialGrid) -> EigenPair:
     """Smallest eigenvalue of the radial Dirichlet Laplacian on the grid.
 
-    Inverse power iteration on the conservative tridiagonal operator,
-    stopping when the Rayleigh-quotient residual falls below `tol`.
+    Inverse power iteration on the conservative tridiagonal operator, at
+    most EIGEN_MAX_ITERATIONS steps; the Rayleigh-quotient residual must
+    end below EIGEN_TOLERANCE max|diag A|.
     """
     op = grid.operator
     vol = op.vol
@@ -309,7 +314,7 @@ def principal_eigenpair(params: ProblemParams, grid: RadialGrid,
     theta = float("nan")
     stall = 0
     res = math.inf
-    for it in range(max_iter):
+    for it in range(EIGEN_MAX_ITERATIONS):
         y = op.solve(0.0, x)
         y /= math.sqrt(vol @ y**2)
         Ay = op.apply(y)
@@ -327,9 +332,9 @@ def principal_eigenpair(params: ProblemParams, grid: RadialGrid,
     else:
         raise SolverError(
             "inverse power iteration did not converge",
-            iterations=max_iter, residual=res, rayleigh=theta,
+            iterations=EIGEN_MAX_ITERATIONS, residual=res, rayleigh=theta,
         )
-    if res > tol * op_scale:
+    if res > EIGEN_TOLERANCE * op_scale:
         raise SolverError(
             "eigen residual stalled above tolerance",
             iterations=it + 1, residual=res, rayleigh=theta,

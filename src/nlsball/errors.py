@@ -41,11 +41,6 @@ class NoSolutionError(NlsBallError):
     """A selection operation received an empty candidate set."""
 
 
-class StepSizeError(SolverError):
-    """The Newton polish of a standing wave onto the discrete equation
-    did not converge."""
-
-
 class BlowUpError(NlsBallError):
     """The evolved field exceeded the blow-up cap or stopped being finite.
 

@@ -39,7 +39,8 @@ from .core import (
     RadialProfile,
     principal_eigenpair,
 )
-from .errors import BlowUpError, ParameterError, StepSizeError
+from .errors import BlowUpError, ParameterError, SolverError
+from .shoot import _dirichlet_profile, _newton
 
 DEFAULT_BLOWUP_FACTOR = 25.0
 
@@ -211,41 +212,22 @@ def _build_record(grid, times, masses, energies, dists, y, t, end_reason):
     )
 
 
-def discrete_standing_wave(point: BranchPoint, tol: float = 1e-12,
-                           max_iter: int = 60) -> RadialProfile:
+def discrete_standing_wave(point: BranchPoint) -> RadialProfile:
     """Newton-polish the physical profile U = mu^{1/(p-1)} u so that it is
     stationary for the discrete operator; starting the evolution from the
-    discrete state removes the O(h^2) spatial mismatch from the orbit."""
+    discrete state removes the O(h^2) spatial mismatch from the orbit.
+    Raises SolverError, with the final residual, if `shoot._newton` does
+    not converge."""
     if point.mu <= 0.0:
         raise ParameterError("standing-wave probes address the focusing curve")
-    params = point.params
-    p = params.p
+    p = point.params.p
     grid = point.profile.grid
-    op = grid.operator
-    m = grid.n_nodes - 1
-    lam = point.lam
-    y = point.mu ** (1.0 / (p - 1.0)) * point.profile.values[:m]
-
-    def residual(vals):
-        return op.apply(vals) + lam * vals - np.maximum(vals, 0.0) ** p
-
-    fy = residual(y)
-    scale = max(1.0, float(np.max(np.abs(y))) ** p)
-    op_scale = float(np.max(np.abs(op.diag)))
-    eps = float(np.finfo(float).eps)
-    for _ in range(max_iter):
-        norm = float(np.max(np.abs(fy)))
-        floor = 20.0 * eps * op_scale * max(float(np.max(np.abs(y))), 1e-30)
-        if norm <= tol * scale + floor:
-            break
-        y = y + op.solve(lam - p * np.maximum(y, 0.0) ** (p - 1.0), -fy)
-        fy = residual(y)
-    else:
-        raise StepSizeError("stationary polish did not converge",
-                            residual=float(np.max(np.abs(fy))))
-    full = np.zeros(grid.n_nodes)
-    full[:m] = y
-    return RadialProfile(grid, full, op.boundary_slope(full))
+    y = point.mu ** (1.0 / (p - 1.0)) * point.profile.values[:-1]
+    y, ok, residual = _newton(grid, point.lam, +1, p, y)
+    if not ok:
+        raise SolverError("stationary polish did not converge",
+                          residual=residual)
+    return _dirichlet_profile(grid, y)
 
 
 def stability_probe(point: BranchPoint, delta: float, T: float,

@@ -5,8 +5,9 @@ Three problems share one integrator:
 * the positive Dirichlet profile on the unit ball,
       -u'' - (N-1)/r u' + lam u = mu u^p,  u'(0) = 0, u(1) = 0,
   solved for mu = +1 by bisection on the center value a = u(0);
-* the same equation with mu = -1 (defocusing), solved by damped Newton on
-  the conservative discretization -- center shooting is hopeless there
+* the same equation with mu = -1 (defocusing), solved by the damped
+  Newton `_newton` on the conservative discretization, which also polishes
+  the standing waves of `evolve` -- center shooting is hopeless there
   because separatrix perturbations grow like exp(sqrt((p-1)|lam|) r),
   which exceeds double precision long before |lam| reaches the asymptotic
   regime;
@@ -53,22 +54,23 @@ REACHED_END = "end"
 
 # tail values below TAIL_SWITCH * u(0) are dominated by separatrix noise
 TAIL_SWITCH = 1e-6
+# RK4 local error per step, and the relative width of the center-value
+# bracket that bisection stops at within MAX_BISECTIONS halvings
+ODE_TOLERANCE = 1e-10
+BISECTION_TOLERANCE = 1e-14
+MAX_BISECTIONS = 200
+# the damped Newton on the discrete profile equation (see `_newton`)
+NEWTON_TOLERANCE = 1e-12
+NEWTON_MAX_ITERATIONS = 100
 
 
 @dataclass(frozen=True)
 class ShootConfig:
-    """Tolerances and discretization knobs for the shooting solvers."""
+    """Discretization of the shooting solvers: the number of grid nodes."""
 
-    ode_tolerance: float = 1e-10
-    bisection_tolerance: float = 1e-14  # relative width of the a-bracket
-    max_bisections: int = 200
     n_nodes: int = 2049
 
     def __post_init__(self):
-        if self.ode_tolerance <= 0.0 or self.bisection_tolerance <= 0.0:
-            raise ParameterError("tolerances must be positive")
-        if self.max_bisections < 40:
-            raise ParameterError("max_bisections must be >= 40")
         if self.n_nodes < 16:
             raise ParameterError("n_nodes must be >= 16")
 
@@ -85,9 +87,9 @@ class WholeSpaceGroundState:
     center_value: float
 
 
-def _substeps(cell: float, lam: float, tol: float) -> int:
-    """Substeps per grid cell so the RK4 local error stays near `tol`."""
-    x_max = (720.0 * tol) ** 0.2
+def _substeps(cell: float, lam: float) -> int:
+    """Substeps per grid cell for an RK4 local error near ODE_TOLERANCE."""
+    x_max = (720.0 * ODE_TOLERANCE) ** 0.2
     return max(1, math.ceil(cell * math.sqrt(1.0 + abs(lam)) / x_max))
 
 
@@ -196,7 +198,7 @@ def _find_bracket(classify, seed, lam, mu, p):
     raise BracketError("no rebound trajectory found", a_min=lo, lam=lam)
 
 
-def _bisect_center(lam, mu, n_dim, p, R, n_cells, substeps, config, seed=None,
+def _bisect_center(lam, mu, n_dim, p, R, n_cells, substeps, seed=None,
                    smooth_refine=True):
     """Locate the separatrix center value by classification bisection.
 
@@ -209,10 +211,10 @@ def _bisect_center(lam, mu, n_dim, p, R, n_cells, substeps, config, seed=None,
     """
     classify = lambda a: _classify(a, lam, mu, n_dim, p, R, n_cells, substeps)
     lo, hi = _find_bracket(classify, seed, lam, mu, p)
-    tol = config.bisection_tolerance
+    tol = BISECTION_TOLERANCE
     used = 0
     if smooth_refine:
-        while hi - lo > 1e-3 * hi and used < config.max_bisections:
+        while hi - lo > 1e-3 * hi and used < MAX_BISECTIONS:
             mid = 0.5 * (lo + hi)
             if classify(mid) == "big":
                 hi = mid
@@ -233,7 +235,7 @@ def _bisect_center(lam, mu, n_dim, p, R, n_cells, substeps, config, seed=None,
                 if (classify(root - pad) == "small"
                         and classify(root + pad) == "big"):
                     return root, root - pad, root + pad
-    for _ in range(used, config.max_bisections):
+    for _ in range(used, MAX_BISECTIONS):
         if hi - lo <= tol * hi:
             break
         mid = 0.5 * (lo + hi)
@@ -246,7 +248,7 @@ def _bisect_center(lam, mu, n_dim, p, R, n_cells, substeps, config, seed=None,
             raise PrecisionError(
                 "bisection exhausted before tolerance",
                 bracket_width=hi - lo, relative=(hi - lo) / hi,
-                iterations=config.max_bisections,
+                iterations=MAX_BISECTIONS,
             )
     return 0.5 * (lo + hi), lo, hi
 
@@ -280,22 +282,20 @@ def _ball_linear_tail(n_dim, lam, r_s, u_s, r_values):
 
     t_s = bracket_term(r_s)
     log_gs = -nu * math.log(r_s) + z * (1.0 - r_s) + math.log(t_s)
-    vals = np.empty(len(r_values))
-    for i, r in enumerate(r_values):
-        if r >= 1.0:
-            vals[i] = 0.0
-            continue
-        log_ratio = -nu * math.log(r) + z * (1.0 - r) + math.log(bracket_term(r)) - log_gs
-        vals[i] = u_s * math.exp(log_ratio)
+    inside = r_values < 1.0
+    ri = r_values[inside]
+    vals = np.zeros(len(r_values))
+    vals[inside] = u_s * np.exp(-nu * np.log(ri) + z * (1.0 - ri)
+                                + np.log(bracket_term(ri)) - log_gs)
     boundary_slope = -u_s * math.exp(-log_gs)
     return vals, boundary_slope
 
 
-def _solve_ball_focusing(params, lam, grid, config, seed=None):
+def _solve_ball_focusing(params, lam, grid, seed=None):
     n_cells = grid.n_nodes - 1
-    substeps = _substeps(grid.spacing, lam, config.ode_tolerance)
+    substeps = _substeps(grid.spacing, lam)
     a, lo, hi = _bisect_center(
-        lam, 1.0, params.N, params.p, grid.radius, n_cells, substeps, config, seed
+        lam, 1.0, params.N, params.p, grid.radius, n_cells, substeps, seed
     )
     status, r_stop, u_nodes, v_nodes, u_end, v_end = _integrate(
         a, lam, 1.0, params.N, params.p, grid.radius, n_cells, substeps, record=True
@@ -323,11 +323,63 @@ def _solve_ball_focusing(params, lam, grid, config, seed=None):
     return RadialProfile(grid, values, float(boundary)), a
 
 
-def _solve_ball_defocusing(params, lam, grid, seed_values=None,
-                           tol=1e-11, max_iter=100):
-    """Damped Newton for -Delta u + lam u + u^p = 0, u > 0, u(1) = 0."""
-    lam1 = dirichlet_lambda1_exact(params.N)
+def _residual(op, lam, sign, y, p):
+    """A y + lam y - sign max(y, 0)^p on the interior nodes."""
+    return op.apply(y) + lam * y - sign * np.maximum(y, 0.0) ** p
+
+
+def _residual_scale(lam, y, p):
+    """The largest term of the profile equation, at least 1."""
+    top = float(np.max(y))
+    return max(1.0, abs(lam) * top, top ** p)
+
+
+def _newton(grid, lam, sign, p, y):
+    """Damped Newton on F(y) = A y + lam y - sign y^p = 0 (interior nodes)
+    from y; returns (y, converged, max|F|).
+
+    A step is halved until max|F| drops, and reflected into the positive
+    cone as |y + t delta|: sign flips collapse Newton onto u = 0.  It stops
+    once max|F| <= NEWTON_TOLERANCE * _residual_scale + 20 eps max|diag A|
+    max y (the roundoff floor of A y), within NEWTON_MAX_ITERATIONS steps.
+    """
     op = grid.operator
+    floor = 20.0 * np.finfo(float).eps * float(np.max(np.abs(op.diag)))
+
+    def converged(norm, y):
+        bound = NEWTON_TOLERANCE * _residual_scale(lam, y, p)
+        return norm <= bound + floor * float(np.max(y))
+
+    fy = _residual(op, lam, sign, y, p)
+    norm = float(np.max(np.abs(fy)))
+    for _ in range(NEWTON_MAX_ITERATIONS):
+        if converged(norm, y):
+            return y, True, norm
+        delta = op.solve(lam - sign * p * np.maximum(y, 0.0) ** (p - 1.0), -fy)
+        t = 1.0
+        for _ in range(30):
+            y_new = np.abs(y + t * delta)
+            f_new = _residual(op, lam, sign, y_new, p)
+            n_new = float(np.max(np.abs(f_new)))
+            if n_new < norm:
+                break
+            t *= 0.5
+        else:
+            break
+        y, fy, norm = y_new, f_new, n_new
+    return y, converged(norm, y), norm
+
+
+def _dirichlet_profile(grid, y):
+    """The profile with interior values y and u(R) = 0."""
+    full = np.zeros(grid.n_nodes)
+    full[: len(y)] = y
+    return RadialProfile(grid, full, grid.operator.boundary_slope(full))
+
+
+def _solve_ball_defocusing(params, lam, grid, seed_values=None):
+    """-Delta u + lam u + u^p = 0, u > 0, u(1) = 0 by `_newton` per seed."""
+    lam1 = dirichlet_lambda1_exact(params.N)
     m = grid.n_nodes - 1
     p = params.p
     r = grid.nodes[:m]
@@ -354,48 +406,13 @@ def _solve_ball_defocusing(params, lam, grid, seed_values=None,
             yield plateau_seed()
             yield phi1_seed()
 
-    def residual(y):
-        return op.apply(y) + lam * y + np.maximum(y, 0.0) ** p
-
-    scale = max(1.0, -lam * (-lam) ** (1.0 / (p - 1.0)))
-    op_scale = float(np.max(np.abs(op.diag)))  # residual roundoff floor ~ eps*op*|y|
-    last = None
     for y in seeds():
-        fy = residual(y)
-        norm = np.max(np.abs(fy))
-
-        def converged(nrm, vals):
-            floor = 20.0 * np.finfo(float).eps * op_scale * max(vals.max(), 1e-30)
-            return nrm <= tol * scale + floor
-
-        ok = False
-        for _ in range(max_iter):
-            if converged(norm, y):
-                ok = True
-                break
-            delta = op.solve(lam + p * np.maximum(y, 0.0) ** (p - 1.0), -fy)
-            t = 1.0
-            for _ in range(30):
-                # reflect to the positive cone: the target is the positive
-                # global minimizer, and sign flips collapse Newton onto 0
-                y_new = np.abs(y + t * delta)
-                f_new = residual(y_new)
-                n_new = np.max(np.abs(f_new))
-                if n_new < norm:
-                    break
-                t *= 0.5
-            else:
-                ok = converged(norm, y)
-                break
-            y, fy, norm = y_new, f_new, n_new
+        y, ok, last = _newton(grid, lam, -1, p, y)
         # u = 0 solves the equation at every lam; a positive solution has
         # max(u)^(p-1) >= -lam - lambda_1(h) (test against phi_1), and the
         # factor 1/2 absorbs the grid's lambda_1(h) - lambda_1
         if ok and y.min() > 0.0 and y.max() ** (p - 1.0) >= 0.5 * (-lam - lam1):
-            full = np.zeros(grid.n_nodes)
-            full[:m] = y
-            return RadialProfile(grid, full, op.boundary_slope(full))
-        last = norm
+            return _dirichlet_profile(grid, y)
     raise SolverError(
         "defocusing Newton iteration failed", residual=last, lam=lam
     )
@@ -422,7 +439,7 @@ def solve_ball_profile(params: ProblemParams, lam: float, mu_sign: int,
             raise DomainError(
                 f"focusing profile needs lam > -lambda1 = {-lam1:.6f}, got {lam}"
             )
-        profile, _ = _solve_ball_focusing(params, lam, grid, config, seed=seed)
+        profile, _ = _solve_ball_focusing(params, lam, grid, seed=seed)
         return profile
     if lam >= -lam1:
         raise DomainError(
@@ -439,12 +456,12 @@ def solve_whole_space(params: ProblemParams, R_max: float = 20.0,
         raise ParameterError(f"R_max = {R_max} too small for the decay floor")
     grid = make_grid(params, config.n_nodes, R_max)
     n_cells = grid.n_nodes - 1
-    substeps = _substeps(grid.spacing, 1.0, config.ode_tolerance)
+    substeps = _substeps(grid.spacing, 1.0)
     p = params.p
     # the flat-case homoclinic height is a lower bound for the center value
     flat = ((p + 1.0) / 2.0) ** (1.0 / (p - 1.0))
     a, _, _ = _bisect_center(
-        1.0, 1.0, params.N, p, R_max, n_cells, substeps, config, seed=flat,
+        1.0, 1.0, params.N, p, R_max, n_cells, substeps, seed=flat,
         smooth_refine=False,
     )
     _, _, u_nodes, v_nodes, _, _ = _integrate(
@@ -488,11 +505,12 @@ def rescaled_profile(point_profile: RadialProfile, lam: float, mu: float,
 
 def discrete_residual(profile: RadialProfile, lam: float, mu: float,
                       params: ProblemParams) -> float:
-    """Max-norm residual of the conservative discretization,
-    normalized by the largest term magnitude (at least 1)."""
+    """Max-norm residual of the conservative discretization of
+    -Delta u + lam u = mu u^p at a nonnegative profile, normalized by the
+    largest term (at least 1); `_newton` stops below NEWTON_TOLERANCE plus
+    its roundoff floor."""
     p = params.p
-    lap = profile.grid.operator.apply(profile.values)
-    yin = profile.values[: len(lap)]
-    res = lap + lam * yin - mu * yin * np.abs(yin) ** (p - 1.0)
-    scale = max(1.0, np.max(np.abs(lam * yin)), np.max(np.abs(yin) ** p))
-    return float(np.max(np.abs(res)) / scale)
+    op = profile.grid.operator
+    yin = profile.values[: len(op.diag)]
+    res = _residual(op, lam, mu, yin, p)
+    return float(np.max(np.abs(res)) / _residual_scale(lam, yin, p))

@@ -84,9 +84,8 @@ def boundary_flux_check(branch: Branch) -> np.ndarray:
     params = branch.params
     N, p = params.N, params.p
     out = np.empty(max(len(branch.points) - 2, 0))
-    for k, i in enumerate(range(1, len(branch.points) - 1)):
-        pt = branch.points[i]
-        d = branch.derivative(i)
+    interior = zip(branch.points[1:-1], branch.derivative_estimates)
+    for k, (pt, d) in enumerate(interior):
         lhs = d.mu_prime * pt.M_alpha
         bracket = (-p + 1.0 + 4.0 / N) \
             - (4.0 * params.omega / N) * pt.ur1 * d.vr1
@@ -97,13 +96,12 @@ def boundary_flux_check(branch: Branch) -> np.ndarray:
 
 def derivative_identities(branch: Branch) -> IdentityReport:
     """All identity residuals along a branch, derivatives from
-    `Branch.derivative`."""
+    `Branch.derivative_estimates`."""
     n = len(branch.points)
     if n < 3:
         raise ParameterError("need at least 3 points for centered differences")
     params = branch.params
     p = params.p
-    interior = range(1, n - 1)
     m = n - 2
     orth = np.empty(m)
     gradp = np.empty(m)
@@ -112,10 +110,8 @@ def derivative_identities(branch: Branch) -> IdentityReport:
     Mp = np.empty(m)
     lam_primes = np.empty(m)
     mu_primes = np.empty(m)
-    steps = np.empty(m)
-    for k, i in enumerate(interior):
-        pt = branch.points[i]
-        d = branch.derivative(i)
+    interior = zip(branch.points[1:-1], branch.derivative_estimates)
+    for k, (pt, d) in enumerate(interior):
         grid = pt.profile.grid
         u = pt.profile.values
         v = d.v.values
@@ -131,11 +127,10 @@ def derivative_identities(branch: Branch) -> IdentityReport:
         Mp[k] = abs(d.M_prime - target) / abs(target)
         lam_primes[k] = d.lambda_prime
         mu_primes[k] = d.mu_prime
-        steps[k] = branch.points[i + 1].alpha - branch.points[i - 1].alpha
     return IdentityReport(
         alphas=branch.alphas,
         interior_alphas=branch.alphas[1:-1],
-        alpha_steps=steps,
+        alpha_steps=branch.alphas[2:] - branch.alphas[:-2],
         pohozaev_res=np.array([pohozaev_residual(pt) for pt in branch.points]),
         multiplier_res=np.array([multiplier_residual(pt) for pt in branch.points]),
         orthogonality_res=orth,

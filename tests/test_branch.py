@@ -272,17 +272,16 @@ class TestRefinementSolves:
     def solved(self, monkeypatch):
         lams = []
 
-        def counting(params, lam, sign, grid, config, seed=None):
+        def counting(params, lam, sign, grid, seed=None):
             lams.append(float(lam))
-            return _solve_normalized(params, lam, sign, grid, config, seed)
+            return _solve_normalized(params, lam, sign, grid, seed)
 
         monkeypatch.setattr(branch_module, "_solve_normalized", counting)
         return lams
 
     @staticmethod
-    def assert_cold(pt, sign, cfg):
-        cold, _ = _solve_normalized(pt.params, pt.lam, sign,
-                                    pt.profile.grid, cfg)
+    def assert_cold(pt, sign):
+        cold, _ = _solve_normalized(pt.params, pt.lam, sign, pt.profile.grid)
         assert pt.mu == pytest.approx(cold.mu, rel=1e-12)
 
     @pytest.mark.parametrize("eps", [1e-3, 2.5e-4])
@@ -290,20 +289,20 @@ class TestRefinementSolves:
     def test_endpoint_point_at_alpha(self, solved, cfg_fast, eps, sign):
         pt = point_at_alpha(P13, math.pi**2 / 4 + eps, sign, cfg_fast)
         assert len(set(solved)) == len(solved) <= 13
-        self.assert_cold(pt, sign, cfg_fast)
+        self.assert_cold(pt, sign)
 
     def test_find_mu_star(self, solved, branch_33):
         find_mu_star(branch_33)
         assert len(set(solved)) == len(solved)
         assert not set(solved) & set(branch_33.lambdas)
 
-    def test_solutions_at_mass(self, solved, branch_33, cfg_fast):
+    def test_solutions_at_mass(self, solved, branch_33):
         sols = solutions_at_mass(branch_33, 6.0)
         assert len(sols) == 2
         assert len(set(solved)) == len(solved)
         assert not set(solved) & set(branch_33.lambdas)
         for pt in sols:
-            self.assert_cold(pt, +1, cfg_fast)
+            self.assert_cold(pt, +1)
 
 
 class TestLeastEnergy:

@@ -29,7 +29,8 @@ from nlsball.evolve import (
     discrete_standing_wave,
     evolve,
 )
-from nlsball.errors import BlowUpError, ParameterError
+from nlsball import shoot
+from nlsball.errors import BlowUpError, ParameterError, SolverError
 
 P13 = ProblemParams(N=1, p=3.0)
 P33 = ProblemParams(N=3, p=3.0)
@@ -281,6 +282,12 @@ class TestStabilityProbe:
         assert rec.end_reason == "blowup_cap"
         assert rec.blowup_time == pytest.approx(0.173)
         assert np.all(np.isfinite(rec.final.values))
+
+    def test_polish_failure_is_typed(self, stable_point, monkeypatch):
+        monkeypatch.setattr(shoot, "NEWTON_MAX_ITERATIONS", 0)
+        with pytest.raises(SolverError) as info:
+            discrete_standing_wave(stable_point)
+        assert info.value.diagnostics["residual"] > 0.0
 
     def test_focusing_only(self, branch_defoc):
         with pytest.raises(ParameterError):

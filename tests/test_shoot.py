@@ -17,11 +17,14 @@ from nlsball import (
     ProblemParams,
     ShootConfig,
     discrete_residual,
+    normalize,
     rescaled_profile,
     solve_ball_profile,
     solve_whole_space,
 )
 from nlsball.errors import DomainError, ParameterError
+from nlsball.evolve import discrete_standing_wave
+from nlsball import shoot
 from nlsball.shoot import _integrate
 
 P13 = ProblemParams(N=1, p=3.0)
@@ -35,10 +38,6 @@ UR1_ORACLE = -A_ORACLE**2 / math.sqrt(2.0)        # -2.4307452569...
 
 class TestShootConfig:
     def test_validation(self):
-        with pytest.raises(ParameterError):
-            ShootConfig(max_bisections=10)
-        with pytest.raises(ParameterError):
-            ShootConfig(ode_tolerance=0.0)
         with pytest.raises(ParameterError):
             ShootConfig(n_nodes=8)
 
@@ -85,7 +84,7 @@ class TestBallFocusing:
     def test_uniqueness_witness(self, cfg_fast):
         a1 = solve_ball_profile(P13, 2.0, +1, cfg_fast, seed=1.0).values[0]
         a2 = solve_ball_profile(P13, 2.0, +1, cfg_fast, seed=6.0).values[0]
-        assert abs(a1 - a2) <= 10.0 * cfg_fast.bisection_tolerance * a1
+        assert abs(a1 - a2) <= 10.0 * shoot.BISECTION_TOLERANCE * a1
 
     def test_near_endpoint_matches_eigenfunction(self, cfg_fast):
         from nlsball import principal_eigenpair
@@ -133,6 +132,27 @@ class TestBallDefocusing:
         lam = -2000.0
         prof = solve_ball_profile(P13, lam, -1, cfg_fast)
         assert prof.values[0] == pytest.approx(math.sqrt(-lam), rel=2e-2)
+
+
+class TestDiscreteNewton:
+    """S- profiles and polished standing waves come from one damped Newton
+    and meet its one stop rule, read back through `discrete_residual`."""
+
+    @pytest.mark.parametrize("params,lam,sign", [
+        (P13, -10.0, -1), (P13, -300.0, -1),
+        (P13, 1.0, +1), (P33, 5.0, +1)])
+    def test_shared_stop_rule(self, params, lam, sign, cfg_fast):
+        prof = solve_ball_profile(params, lam, sign, cfg_fast)
+        if sign > 0:
+            prof = discrete_standing_wave(normalize(prof, lam, +1, params))
+        y = prof.values[:-1]
+        floor = 20.0 * np.finfo(float).eps \
+            * np.max(np.abs(prof.grid.operator.diag)) * np.max(y)
+        bound = shoot.NEWTON_TOLERANCE \
+            + floor / shoot._residual_scale(lam, y, params.p)
+        # a few ulps of slack for the division by the scale
+        assert discrete_residual(prof, lam, sign, params) \
+            <= bound * (1.0 + 1e-12)
 
 
 class TestWholeSpace:
