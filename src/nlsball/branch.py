@@ -187,6 +187,20 @@ def _solve_normalized(params, lam, sign, grid, seed=None):
     return normalize(profile, lam, -1, params), profile.values
 
 
+def _predicted_center(s, solved):
+    """The focusing center value at the endpoint offset s = lam + lambda_1
+    from up to two solved (s, a): the log-log secant through two, the one
+    a itself, None without any or off the curve (s <= 0).  Near the
+    endpoint a^{p-1} grows like s, far from it like lam, so log a is close
+    to linear in log s."""
+    if not solved or s <= 0.0:
+        return None
+    if len(solved) == 1:
+        return solved[0][1]
+    (s0, a0), (s1, a1) = solved
+    return a1 * (s / s1) ** (math.log(a1 / a0) / math.log(s1 / s0))
+
+
 def geometric_lambda_grid(params: ProblemParams, lam_lo: float, lam_hi: float,
                           n: int, sign: int = +1) -> np.ndarray:
     """Multiplier grid geometric in the offset from the branch endpoint
@@ -205,7 +219,10 @@ def geometric_lambda_grid(params: ProblemParams, lam_lo: float, lam_hi: float,
 
 def trace(params: ProblemParams, lambda_grid, sign: int,
           config: ShootConfig | None = None) -> Branch:
-    """Trace the branch over the given multiplier grid with warm starts.
+    """Trace the branch over the given multiplier grid with warm starts:
+    a focusing solve starts from the center value `_predicted_center`
+    gives through the last two solved points, a defocusing one from the
+    last solved profile.
 
     Points are returned ordered by alpha (ascending), one per solvable
     lam; failed solves (an NlsBallError or an ArithmeticError) are
@@ -222,15 +239,24 @@ def trace(params: ProblemParams, lambda_grid, sign: int,
         raise ParameterError("focusing lambda grid must be strictly increasing")
     if sign < 0 and np.any(np.diff(lams) >= 0.0):
         raise ParameterError("defocusing lambda grid must be strictly decreasing")
+    lam1 = dirichlet_lambda1_exact(params.N)
     points = []
     failures = []
+    centers = []  # (lam + lambda_1, a) of the solved focusing points
     seed = None
     for lam in lams:
+        if sign > 0:
+            seed = _predicted_center(lam + lam1, centers[-2:])
         try:
-            point, seed = _solve_normalized(params, lam, sign, grid, seed)
-            points.append(point)
+            point, solved = _solve_normalized(params, lam, sign, grid, seed)
         except (NlsBallError, ArithmeticError) as exc:
             failures.append((float(lam), f"{type(exc).__name__}: {exc}"))
+            continue
+        points.append(point)
+        if sign > 0:
+            centers.append((lam + lam1, solved))
+        else:
+            seed = solved
     points.sort(key=lambda pt: pt.alpha)
     return Branch(sign=sign, params=params, points=tuple(points),
                   failures=tuple(failures))
@@ -240,25 +266,36 @@ def _resolver(params, sign, grid, known=()):
     """Memoized solver lam -> BranchPoint for the refinements.
 
     Each lam is solved at most once; the `known` points count as solved.
-    A focusing solve starts from the center value a = u(0) mu^{1/(p-1)}
-    of the solved point nearest in lam.  Defocusing solves stay cold: a
-    warm Newton stops at a different point inside its tolerance, and that
+    A focusing solve starts from the center value predicted by
+    `_predicted_center` through the two solved lam nearest the target,
+    where a = u(0) mu^{1/(p-1)}.  Defocusing solves stay cold: a warm
+    Newton stops at a different point inside its tolerance, and that
     noise costs a root finder more iterations than the warm start saves.
     """
     solved = {pt.lam: pt for pt in known}
+    lam1 = dirichlet_lambda1_exact(params.N)
+
+    def center(pt):
+        return pt.lam + lam1, pt.profile.values[0] * pt.mu ** (
+            1.0 / (params.p - 1.0))
 
     def solve(lam):
         lam = float(lam)
         if lam not in solved:
             seed = None
-            if sign > 0 and solved:
-                near = solved[min(solved, key=lambda x: abs(x - lam))]
-                seed = near.profile.values[0] * near.mu ** (
-                    1.0 / (params.p - 1.0))
+            if sign > 0:
+                near = sorted(solved, key=lambda x: abs(x - lam))[:2]
+                seed = _predicted_center(
+                    lam + lam1, [center(solved[x]) for x in near])
             solved[lam], _ = _solve_normalized(params, lam, sign, grid, seed)
         return solved[lam]
 
     return solve
+
+
+class _AlphaResolved(Exception):
+    """Stops `point_at_alpha`'s root finding at the lam it carries, whose
+    alpha meets the target to within alpha's resolution."""
 
 
 def point_at_alpha(params: ProblemParams, alpha_target: float, sign: int,
@@ -270,9 +307,11 @@ def point_at_alpha(params: ProblemParams, alpha_target: float, sign: int,
     bracket search starts at s = max(lambda_1, 1), multiplies s by 4
     while alpha is below the target and otherwise divides it by 4, down
     to the floor 1e-8 max(lambda_1, 1); Brent root finding in lam then
-    finishes.  Every lam is solved once; focusing solves are warm-started
-    from the nearest solved lam, defocusing ones stay cold (see
-    `_resolver`).
+    finishes.  Both stop at the first lam whose alpha is the target to
+    within alpha's resolution, sqrt(n) eps alpha, the roundoff of its
+    n-node quadrature sum: closer solves only move alpha by roundoff.
+    Every lam is solved once; focusing solves start from a predicted
+    center value, defocusing ones stay cold (see `_resolver`).
     """
     config = config or ShootConfig()
     grid = make_grid(params, config.n_nodes, 1.0)
@@ -280,28 +319,36 @@ def point_at_alpha(params: ProblemParams, alpha_target: float, sign: int,
     if alpha_target <= lam1:
         raise DomainError(f"alpha must exceed lambda_1 = {lam1:.6f}")
     solve = _resolver(params, sign, grid)
+    resolution = math.sqrt(config.n_nodes) * np.finfo(float).eps \
+        * alpha_target
 
     def alpha_of(lam):
-        return solve(lam).alpha - alpha_target
+        miss = solve(lam).alpha - alpha_target
+        if abs(miss) <= resolution:
+            raise _AlphaResolved(lam)
+        return miss
 
     def lam_at(s):
         return -lam1 + sign * s
 
     s = unit = max(lam1, 1.0)
     floor = 1e-8 * unit
-    below = alpha_of(lam_at(s)) < 0.0
-    while True:
-        s_prev, s = s, 4.0 * s if below else max(0.25 * s, floor)
-        if abs(lam_at(s)) > 1e8:
-            raise DomainError("alpha target not reached for |lam| <= 1e8")
-        if (alpha_of(lam_at(s)) < 0.0) != below:
-            break
-        if s == floor:
-            raise DomainError(
-                f"alpha target {alpha_target} not bracketed at the "
-                f"endpoint offset floor {floor:.3g}")
-    lo, hi = sorted((lam_at(s_prev), lam_at(s)))
-    lam_star = brentq(alpha_of, lo, hi, xtol=1e-13, rtol=1e-13)
+    try:
+        below = alpha_of(lam_at(s)) < 0.0
+        while True:
+            s_prev, s = s, 4.0 * s if below else max(0.25 * s, floor)
+            if abs(lam_at(s)) > 1e8:
+                raise DomainError("alpha target not reached for |lam| <= 1e8")
+            if (alpha_of(lam_at(s)) < 0.0) != below:
+                break
+            if s == floor:
+                raise DomainError(
+                    f"alpha target {alpha_target} not bracketed at the "
+                    f"endpoint offset floor {floor:.3g}")
+        lo, hi = sorted((lam_at(s_prev), lam_at(s)))
+        lam_star = brentq(alpha_of, lo, hi, xtol=1e-13, rtol=1e-13)
+    except _AlphaResolved as hit:
+        lam_star, = hit.args
     return solve(lam_star)
 
 

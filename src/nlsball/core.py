@@ -171,6 +171,13 @@ class RadialGrid:
         """The grid's discrete radial Laplacian, built on first use."""
         return RadialOperator(self)
 
+    @cached_property
+    def principal_mode(self) -> tuple[float, np.ndarray]:
+        """(lambda_1, phi_1 nodal values) of the operator, computed once
+        per grid for `principal_eigenpair`.  Bare values: an EigenPair's
+        profile would point back at the grid (see RadialOperator)."""
+        return _principal_mode(self)
+
 
 class RadialOperator:
     """Conservative three-point discretization A of -Laplace (radial part).
@@ -296,11 +303,18 @@ class EigenPair:
 
 
 def principal_eigenpair(params: ProblemParams, grid: RadialGrid) -> EigenPair:
-    """Smallest eigenvalue of the radial Dirichlet Laplacian on the grid.
+    """Smallest eigenvalue of the radial Dirichlet Laplacian on the grid,
+    computed once per grid (`RadialGrid.principal_mode`)."""
+    theta, full = grid.principal_mode
+    bnd = grid.operator.boundary_slope(full)
+    return EigenPair(lambda1=theta, phi1=RadialProfile(grid, full, bnd))
 
-    Inverse power iteration on the conservative tridiagonal operator, at
-    most EIGEN_MAX_ITERATIONS steps; the Rayleigh-quotient residual must
-    end below EIGEN_TOLERANCE max|diag A|.
+
+def _principal_mode(grid: RadialGrid) -> tuple[float, np.ndarray]:
+    """Inverse power iteration on the conservative tridiagonal operator,
+    at most EIGEN_MAX_ITERATIONS steps; the Rayleigh-quotient residual
+    must end below EIGEN_TOLERANCE max|diag A|.  Returns the eigenvalue
+    and the positive eigenfunction's nodal values, L2-normalized.
     """
     op = grid.operator
     vol = op.vol
@@ -346,5 +360,5 @@ def principal_eigenpair(params: ProblemParams, grid: RadialGrid) -> EigenPair:
     # normalize with the public quadrature so that int phi^2 dx = 1 exactly
     nrm = math.sqrt(grid.integrate(full**2))
     full /= nrm
-    bnd = op.boundary_slope(full)
-    return EigenPair(lambda1=theta, phi1=RadialProfile(grid, full, bnd))
+    full.setflags(write=False)
+    return theta, full

@@ -4,7 +4,12 @@ Three problems share one integrator:
 
 * the positive Dirichlet profile on the unit ball,
       -u'' - (N-1)/r u' + lam u = mu u^p,  u'(0) = 0, u(1) = 0,
-  solved for mu = +1 by bisection on the center value a = u(0);
+  solved for mu = +1 by classification bisection on the center value
+  a = u(0) (`_bisect_center`): a predicted center value starts from a
+  bracket HANDOFF_WIDTH wide, and the search ends with Brent on the
+  boundary value u(1; a) where that is smooth, or keeps bisecting on
+  trajectories that stop early where u(1; a) is a step in double
+  precision;
 * the same equation with mu = -1 (defocusing), solved by the damped
   Newton `_newton` on the conservative discretization, which also polishes
   the standing waves of `evolve` -- center shooting is hopeless there
@@ -15,12 +20,13 @@ Three problems share one integrator:
 
 Trajectories integrate with classical RK4 at a lambda-scaled step landing
 exactly on the output grid nodes, started off r = 0 with the even series
-u = a + (lam a - mu a^p) r^2/(2N) + O(r^4).  Where the boundary tail falls
+u = a + (lam a - mu a^p) r^2/(2N) + O(r^4).  Wherever the profile falls
 below what bisection can resolve in double precision (center values only
-pin the trajectory down to relative eps, amplified by exp(sqrt(lam) r)),
-the tail is replaced by the matched decaying solution of the linearized
-equation: a Bessel I/K combination vanishing at r = 1 on the ball, and
-c r^{-(N-1)/2} e^{-r} on the whole space.
+pin the trajectory down to relative eps, amplified by exp(sqrt(lam) r))
+before the boundary, the tail, and with it u_r(1), is replaced by the
+matched decaying solution of the linearized equation: a Bessel I/K
+combination vanishing at r = 1 on the ball, and c r^{-(N-1)/2} e^{-r} on
+the whole space.
 """
 
 from __future__ import annotations
@@ -59,6 +65,9 @@ TAIL_SWITCH = 1e-6
 ODE_TOLERANCE = 1e-10
 BISECTION_TOLERANCE = 1e-14
 MAX_BISECTIONS = 200
+# relative bracket width at which classification bisection hands over to
+# Brent on u(R; a); a predicted center value starts from a bracket this wide
+HANDOFF_WIDTH = 1e-3
 # the damped Newton on the discrete profile equation (see `_newton`)
 NEWTON_TOLERANCE = 1e-12
 NEWTON_MAX_ITERATIONS = 100
@@ -165,24 +174,47 @@ def _integrate(a, lam, mu, n_dim, p, R, n_cells, substeps, record,
 
 
 def _classify(a, lam, mu, n_dim, p, R, n_cells, substeps):
-    """'big' if the trajectory crosses zero before R, else 'small'."""
-    status, _, _, _, u_end, _ = _integrate(
+    """('big' if the trajectory crosses zero before R, else 'small', and
+    the radius where the trajectory stopped)."""
+    status, r_stop, _, _, u_end, _ = _integrate(
         a, lam, mu, n_dim, p, R, n_cells, substeps, record=False
     )
     if status == CROSSED:
-        return "big"
+        return "big", r_stop
     if status == REBOUND:
-        return "small"
-    return "small" if u_end > 0.0 else "big"
+        return "small", r_stop
+    return ("small" if u_end > 0.0 else "big"), r_stop
 
 
 def _find_bracket(classify, seed, lam, mu, p):
-    """Geometric search for center values of both trajectory classes."""
+    """Center values (lo, hi) of the two trajectory classes.
+
+    A predicted `seed` starts from seed (1 -+ HANDOFF_WIDTH / 2); an end
+    of the wrong class becomes the other end, and the missing end moves
+    8 times as far from the seed per try.  Past 50% the cold geometric
+    search takes over, as it does without a seed.
+    """
     if seed is not None and seed > 0.0:
-        lo, hi = 0.97 * seed, 1.03 * seed
-    else:
-        base = (max(lam, 0.0) / abs(mu)) ** (1.0 / (p - 1.0)) if lam > 0 else 0.0
-        lo = hi = max(1.0, 1.5 * base)
+        lo = hi = None
+        offset = 0.5 * HANDOFF_WIDTH
+        while offset <= 0.5:
+            if hi is None:
+                a = seed * (1.0 + offset)
+                if classify(a) == "big":
+                    hi = a
+                else:
+                    lo = a
+            if lo is None:
+                a = seed * (1.0 - offset)
+                if classify(a) == "small":
+                    lo = a
+                else:
+                    hi = a
+            if lo is not None and hi is not None:
+                return lo, hi
+            offset *= 8.0
+    base = (max(lam, 0.0) / abs(mu)) ** (1.0 / (p - 1.0)) if lam > 0 else 0.0
+    lo = hi = max(1.0, 1.5 * base)
     for _ in range(200):
         if classify(hi) == "big":
             break
@@ -200,21 +232,31 @@ def _find_bracket(classify, seed, lam, mu, p):
 
 def _bisect_center(lam, mu, n_dim, p, R, n_cells, substeps, seed=None,
                    smooth_refine=True):
-    """Locate the separatrix center value by classification bisection.
+    """Locate the separatrix center value by classification bisection;
+    returns (a, lo, hi) with lo 'small' and hi 'big'.
 
-    With smooth_refine, the bracket is first narrowed to 1e-3 and then a
-    Brent solve on the event-free boundary value u(R; a) finishes the job;
-    that functional is smooth and monotone only while the separatrix
-    divergence stays beyond R, so the root is verified against the
-    classification dichotomy and bisection takes over whenever the
-    verification fails (large lam, whole-space domains).
+    With smooth_refine, the bracket is first narrowed to HANDOFF_WIDTH.
+    A trajectory an offset d off the separatrix leaves it where
+    d exp(sqrt(lam) r) grows to order one, so its stop radius grows like
+    ln(1/d).  If the bracket ends' stop radii, scaled by
+    ln(BISECTION_TOLERANCE) / ln(HANDOFF_WIDTH), still fall short of R,
+    every classification down to BISECTION_TOLERANCE stops early and
+    u(R; a) is a step in double precision: bisection finishes.  Otherwise
+    a Brent solve on the event-free boundary value u(R; a) finishes; the
+    root is verified against the classification dichotomy and bisection
+    takes over whenever the verification fails.
     """
-    classify = lambda a: _classify(a, lam, mu, n_dim, p, R, n_cells, substeps)
+    stops = {}
+
+    def classify(a):
+        kind, stops[a] = _classify(a, lam, mu, n_dim, p, R, n_cells, substeps)
+        return kind
+
     lo, hi = _find_bracket(classify, seed, lam, mu, p)
     tol = BISECTION_TOLERANCE
     used = 0
     if smooth_refine:
-        while hi - lo > 1e-3 * hi and used < MAX_BISECTIONS:
+        while hi - lo > HANDOFF_WIDTH * hi and used < MAX_BISECTIONS:
             mid = 0.5 * (lo + hi)
             if classify(mid) == "big":
                 hi = mid
@@ -226,7 +268,9 @@ def _bisect_center(lam, mu, n_dim, p, R, n_cells, substeps, seed=None,
             return _integrate(a, lam, mu, n_dim, p, R, n_cells, substeps,
                               record=False, terminal_events=False)[4]
 
-        if hi - lo > tol * hi:
+        reach = max(stops[lo], stops[hi]) * (math.log(tol)
+                                             / math.log(HANDOFF_WIDTH))
+        if reach >= R and hi - lo > tol * hi:
             g_lo, g_hi = boundary_value(lo), boundary_value(hi)
             if g_lo > 0.0 > g_hi:
                 root = brentq(boundary_value, lo, hi,
@@ -253,13 +297,14 @@ def _bisect_center(lam, mu, n_dim, p, R, n_cells, substeps, seed=None,
     return 0.5 * (lo + hi), lo, hi
 
 
-def _tail_start_index(values: np.ndarray, a: float) -> int:
+def _tail_start_index(values: np.ndarray, a: float) -> int | None:
     """Last trustworthy node: the one before u first drops below the
-    separatrix noise floor TAIL_SWITCH * u(0)."""
-    filled = np.nan_to_num(values, nan=0.0)
-    below = np.nonzero(filled < TAIL_SWITCH * a)[0]
+    separatrix noise floor TAIL_SWITCH * u(0), or None if no node before
+    the last one does."""
+    filled = np.nan_to_num(values[:-1], nan=0.0)
+    below = np.flatnonzero(filled < TAIL_SWITCH * a)
     if len(below) == 0:
-        return len(values) - 2
+        return None
     return max(int(below[0]) - 1, 1)
 
 
@@ -292,35 +337,39 @@ def _ball_linear_tail(n_dim, lam, r_s, u_s, r_values):
 
 
 def _solve_ball_focusing(params, lam, grid, seed=None):
-    n_cells = grid.n_nodes - 1
     substeps = _substeps(grid.spacing, lam)
-    a, lo, hi = _bisect_center(
-        lam, 1.0, params.N, params.p, grid.radius, n_cells, substeps, seed
+    a, _, _ = _bisect_center(lam, 1.0, params.N, params.p, grid.radius,
+                             grid.n_nodes - 1, substeps, seed)
+    return _focusing_profile(params, lam, grid, a), a
+
+
+def _focusing_profile(params, lam, grid, a):
+    """The profile of the trajectory from center value a.
+
+    Where u drops below the separatrix noise floor before R (lam > 0),
+    the nodes beyond hold noise, and so would u_r(1): the decaying
+    linear solution is grafted on from the last trustworthy node.
+    """
+    status, r_stop, values, _, _, v_end = _integrate(
+        a, lam, 1.0, params.N, params.p, grid.radius, grid.n_nodes - 1,
+        _substeps(grid.spacing, lam), record=True
     )
-    status, r_stop, u_nodes, v_nodes, u_end, v_end = _integrate(
-        a, lam, 1.0, params.N, params.p, grid.radius, n_cells, substeps, record=True
-    )
-    values = u_nodes.copy()
-    if status == REACHED_END or r_stop >= grid.radius - 1.5 * grid.spacing:
-        trailing = np.isnan(values)
-        values[trailing] = 0.0
-        values[-1] = 0.0
-        boundary = v_end
-    else:
-        # separatrix noise ate the tail; graft the linear decaying solution
-        if lam <= 0.0:
-            raise SolverError(
-                "trajectory terminated early at the converged center value",
-                r_stop=r_stop, status=status, lam=lam,
-            )
-        s = _tail_start_index(values, a)
-        tail, boundary = _ball_linear_tail(
+    s = _tail_start_index(values, a)
+    if lam > 0.0 and s is not None:
+        values[s + 1 :], boundary = _ball_linear_tail(
             params.N, lam, grid.nodes[s], values[s], grid.nodes[s + 1 :]
         )
-        values[s + 1 :] = tail
-        values[-1] = 0.0
+    elif status == REACHED_END or r_stop >= grid.radius - 1.5 * grid.spacing:
+        values[np.isnan(values)] = 0.0
+        boundary = v_end
+    else:
+        raise SolverError(
+            "trajectory terminated early at the converged center value",
+            r_stop=r_stop, status=status, lam=lam,
+        )
+    values[-1] = 0.0
     np.clip(values, 0.0, None, out=values)
-    return RadialProfile(grid, values, float(boundary)), a
+    return RadialProfile(grid, values, float(boundary))
 
 
 def _residual(op, lam, sign, y, p):
@@ -469,7 +518,7 @@ def solve_whole_space(params: ProblemParams, R_max: float = 20.0,
     )
     values = u_nodes.copy()
     dvalues = v_nodes.copy()
-    s = _tail_start_index(values, a)
+    s = _tail_start_index(values, a) or len(values) - 2
     r_s, u_s = grid.nodes[s], values[s]
     c = u_s * r_s ** ((params.N - 1) / 2.0) * math.exp(r_s)
     rt = grid.nodes[s + 1 :]

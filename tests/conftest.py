@@ -2,12 +2,15 @@
 module tests.  The acceptance suite builds its own full-size objects so
 its timings are self-contained."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from nlsball import (
     ProblemParams,
     ShootConfig,
     geometric_lambda_grid,
+    shoot,
     solve_whole_space,
     trace,
 )
@@ -64,3 +67,24 @@ def ground_state_15(cfg_fine):
 @pytest.fixture(scope="session")
 def ground_state_33(cfg_fine):
     return solve_whole_space(P33, 20.0, cfg_fine)
+
+
+@pytest.fixture
+def shooting_work(monkeypatch):
+    """Counts the shooting work done while a test runs: `integrations`
+    (calls of `shoot._integrate`), `steps` (RK4 steps, r_stop / h per
+    call) and `event_free` (calls with terminal_events=False)."""
+    work = SimpleNamespace(integrations=0, steps=0, event_free=0)
+    integrate = shoot._integrate
+
+    def counted(a, lam, mu, n_dim, p, R, n_cells, substeps, record,
+                terminal_events=True):
+        out = integrate(a, lam, mu, n_dim, p, R, n_cells, substeps, record,
+                        terminal_events)
+        work.integrations += 1
+        work.steps += round(out[1] * n_cells * substeps / R)
+        work.event_free += not terminal_events
+        return out
+
+    monkeypatch.setattr(shoot, "_integrate", counted)
+    return work

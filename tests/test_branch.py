@@ -291,6 +291,26 @@ class TestRefinementSolves:
         assert len(set(solved)) == len(solved) <= 13
         self.assert_cold(pt, sign)
 
+    @pytest.mark.parametrize("eps", [1e-3, 2.5e-4])
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_point_at_alpha_stops_at_resolution(self, monkeypatch, cfg_fast,
+                                                eps, sign):
+        # the first solve whose alpha is the target to within sqrt(n) eps
+        # alpha is the last: closer solves would only move alpha by roundoff
+        target = math.pi**2 / 4 + eps
+        resolution = math.sqrt(cfg_fast.n_nodes) * np.finfo(float).eps * target
+        misses = []
+
+        def recording(*args):
+            out = _solve_normalized(*args)
+            misses.append(abs(out[0].alpha - target))
+            return out
+
+        monkeypatch.setattr(branch_module, "_solve_normalized", recording)
+        point_at_alpha(P13, target, sign, cfg_fast)
+        assert misses[-1] <= resolution
+        assert all(miss > resolution for miss in misses[:-1])
+
     def test_find_mu_star(self, solved, branch_33):
         find_mu_star(branch_33)
         assert len(set(solved)) == len(solved)

@@ -1,7 +1,9 @@
 """Grid, quadrature, profile, and eigenpair contracts."""
 
 import cmath
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -295,6 +297,22 @@ class TestEigenpair:
         eig = principal_eigenpair(params, grid)
         ratio = grad_norm_sq(eig.phi1) / (eig.lambda1 * eig.phi1.l2_norm_sq())
         assert abs(ratio - 1.0) < 1e-6
+
+    def test_computed_once_per_grid(self):
+        params = ProblemParams(1, 3.0)
+        grid = make_grid(params, 257, 1.0)
+        first = principal_eigenpair(params, grid)
+        again = principal_eigenpair(params, grid)
+        assert again.phi1.values is first.phi1.values
+        # the grid keeps bare values, no reference back to itself, so it
+        # is freed as soon as the last outside reference goes
+        ref = weakref.ref(grid)
+        gc.disable()
+        try:
+            del grid, first, again
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_second_order_refinement(self):
         params = ProblemParams(2, 3.0)

@@ -11,16 +11,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from nlsball import (
     ProblemParams,
     ShootConfig,
     discrete_residual,
+    geometric_lambda_grid,
+    make_grid,
     normalize,
     rescaled_profile,
     solve_ball_profile,
     solve_whole_space,
+    trace,
 )
 from nlsball.errors import DomainError, ParameterError
 from nlsball.evolve import discrete_standing_wave
@@ -118,6 +123,62 @@ class TestBallFocusing:
             solve_ball_profile(P13, -lam1 + 0.5, -1, cfg_fast)
         with pytest.raises(ParameterError):
             solve_ball_profile(P13, 0.0, 2, cfg_fast)
+
+
+class TestCenterShooting:
+    """The center-value search spends RK4 steps only on digits it does not
+    know yet, and every root it returns is classified on both sides."""
+
+    @staticmethod
+    def shooting_args(lam, n_cells):
+        return (lam, 1.0, 3, 3.0, 1.0, n_cells,
+                shoot._substeps(1.0 / n_cells, lam))
+
+    def test_warm_trace_step_budget(self, shooting_work, cfg_fast):
+        # ten points over the Figure-1 window take 222,751 steps; seeding
+        # each solve with the last center value +-3% and finishing every
+        # solve with Brent took 301,891
+        lams = geometric_lambda_grid(P33, -math.pi**2 + 0.4, 3500.0, 10)
+        assert not trace(P33, lams, +1, cfg_fast).failures
+        assert shooting_work.steps < 240_000
+
+    def test_large_lambda_skips_brent(self, shooting_work):
+        # u(1; a) is a step in double precision at lam = 3000, so no
+        # integration runs event-free to r = 1
+        prof = solve_ball_profile(P33, 3000.0, +1)
+        assert prof.values[0] > 0.0
+        assert shooting_work.integrations > 0
+        assert shooting_work.event_free == 0
+
+    @pytest.mark.parametrize("factor", [10.0, 0.1])
+    def test_bad_seed_falls_back_to_cold_search(self, factor):
+        args = self.shooting_args(100.0, 1024)
+        cold = shoot._bisect_center(*args)
+        assert shoot._bisect_center(*args, seed=factor * cold[0]) == cold
+
+    @settings(max_examples=12, deadline=None)
+    @given(log_s=st.floats(-3.0, math.log10(3500.0 + math.pi**2),
+                           exclude_max=True))
+    def test_bracket_is_classified(self, log_s):
+        lam = -math.pi**2 + 10.0**log_s
+        args = self.shooting_args(lam, 1024)
+        a, lo, hi = shoot._bisect_center(*args)
+        assert lo < a < hi
+        # the Brent root's bracket is root -+ 4e-14 root, each end rounded
+        assert hi - lo <= 8e-14 * a + math.ulp(a)
+        assert shoot._classify(lo, *args)[0] == "small"
+        assert shoot._classify(hi, *args)[0] == "big"
+
+    @pytest.mark.parametrize("lam", [240.0, 385.0])
+    def test_boundary_slope_is_not_separatrix_noise(self, lam):
+        # u drops below the noise floor before r = 1 on this band; the
+        # grafted tail gives the same u_r(1) across the converged bracket
+        grid = make_grid(P33, 2049, 1.0)
+        args = self.shooting_args(lam, 2048)
+        _, lo, hi = shoot._bisect_center(*args)
+        slopes = [shoot._focusing_profile(P33, lam, grid, a)
+                  .boundary_derivative for a in (lo, hi)]
+        assert abs(slopes[1] - slopes[0]) <= 1e-4 * abs(slopes[0])
 
 
 class TestBallDefocusing:
