@@ -16,7 +16,6 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import (
     ProblemParams,
@@ -35,6 +34,9 @@ from .errors import (
     SolverError,
 )
 from .shoot import ShootConfig, _solve_ball_defocusing, _solve_ball_focusing
+
+# steps of each refinement's root search before it raises SolverError
+MAX_REFINEMENT_STEPS = 100
 
 
 class StabilityTag(Enum):
@@ -187,16 +189,18 @@ def _solve_normalized(params, lam, sign, grid, seed=None):
     return normalize(profile, lam, -1, params), profile.values
 
 
-def _predicted_center(s, solved):
+def _predicted_center(s, solved, slope=None):
     """The focusing center value at the endpoint offset s = lam + lambda_1
-    from up to two solved (s, a): the log-log secant through two, the one
-    a itself, None without any or off the curve (s <= 0).  Near the
-    endpoint a^{p-1} grows like s, far from it like lam, so log a is close
-    to linear in log s."""
+    from up to two solved (s, a): the log-log secant through two; through
+    one, the line of the given log-log slope, or a itself without one;
+    None without any or off the curve (s <= 0).  Near the endpoint a^{p-1}
+    grows like s, far from it like lam, so log a is close to linear in
+    log s."""
     if not solved or s <= 0.0:
         return None
     if len(solved) == 1:
-        return solved[0][1]
+        (s0, a0), = solved
+        return a0 if slope is None else a0 * (s / s0) ** slope
     (s0, a0), (s1, a1) = solved
     return a1 * (s / s1) ** (math.log(a1 / a0) / math.log(s1 / s0))
 
@@ -262,40 +266,101 @@ def trace(params: ProblemParams, lambda_grid, sign: int,
                   failures=tuple(failures))
 
 
-def _resolver(params, sign, grid, known=()):
-    """Memoized solver lam -> BranchPoint for the refinements.
+@dataclass(frozen=True)
+class _Tangent:
+    """Derivatives in lam along the branch at one point."""
 
-    Each lam is solved at most once; the `known` points count as solved.
-    A focusing solve starts from the center value predicted by
-    `_predicted_center` through the two solved lam nearest the target,
-    where a = u(0) mu^{1/(p-1)}.  Defocusing solves stay cold: a warm
-    Newton stops at a different point inside its tolerance, and that
-    noise costs a root finder more iterations than the warm start saves.
+    alpha: float    # d alpha / d lam
+    mu: float       # d mu / d lam
+    center: float   # d a / d lam, a = u(0) |mu|^{1/(p-1)}
+
+
+def _tangent(point: BranchPoint) -> _Tangent:
+    """The branch's derivatives in lam at `point`, from one tridiagonal
+    solve.
+
+    U = |mu|^{1/(p-1)} u solves A U + lam U = sign U^p, and differentiating
+    in lam gives (A + lam - sign p U^{p-1}) W = -U for W = U_lam.  With
+    v = W / |mu|^{1/(p-1)} and m = int U^2 = |mu|^{2/(p-1)}, m_lam / m =
+    2 int u v, mu_lam = mu (p-1)/2 m_lam/m and alpha_lam = 2 int u' v' -
+    alpha m_lam/m, with u' and v' from the nodal derivative
+    `grad_norm_sq` uses.  S- profiles solve A's equation and the tangent
+    is exact to roundoff; S+ profiles come from RK4 shooting, and the
+    tangent carries the O(h^2 lam) gap between the two discretizations.
     """
-    solved = {pt.lam: pt for pt in known}
-    lam1 = dirichlet_lambda1_exact(params.N)
+    p = point.params.p
+    u = point.profile
+    op = u.grid.operator
+    y = u.values[: len(op.diag)]
+    values = np.zeros(u.grid.n_nodes)
+    values[: len(y)] = op.solve(point.lam - p * point.mu * y ** (p - 1.0),
+                                -y)
+    v = RadialProfile(u.grid, values, op.boundary_slope(values))
+    mass_rate = 2.0 * u.grid.integrate(u.values * v.values)
+    grad_pairing = u.grid.integrate(u.derivative_values()
+                                    * v.derivative_values())
+    return _Tangent(
+        alpha=2.0 * grad_pairing - point.alpha * mass_rate,
+        mu=0.5 * (p - 1.0) * point.mu * mass_rate,
+        center=float(values[0]) * abs(point.mu) ** (1.0 / (p - 1.0)),
+    )
 
-    def center(pt):
-        return pt.lam + lam1, pt.profile.values[0] * pt.mu ** (
-            1.0 / (params.p - 1.0))
 
-    def solve(lam):
+class _Resolver:
+    """Memoized solves lam -> BranchPoint and tangents lam -> _Tangent for
+    the refinements.
+
+    Each lam is solved at most once and its tangent computed at most once;
+    the `known` points count as solved.  A focusing solve starts from the
+    center value `_predicted_center` gives through the two solved lam
+    nearest the target, or along the tangent while only one is solved;
+    a = u(0) mu^{1/(p-1)}.  Defocusing solves stay cold: a warm Newton
+    stops at a different point inside its tolerance, and that noise costs
+    a root finder more iterations than the warm start saves.
+    """
+
+    def __init__(self, params, sign, grid, known=()):
+        self.params, self.sign, self.grid = params, sign, grid
+        self.lam1 = dirichlet_lambda1_exact(params.N)
+        self.points = {pt.lam: pt for pt in known}
+        self.tangents = {}
+
+    def point(self, lam) -> BranchPoint:
         lam = float(lam)
-        if lam not in solved:
-            seed = None
-            if sign > 0:
-                near = sorted(solved, key=lambda x: abs(x - lam))[:2]
-                seed = _predicted_center(
-                    lam + lam1, [center(solved[x]) for x in near])
-            solved[lam], _ = _solve_normalized(params, lam, sign, grid, seed)
-        return solved[lam]
+        if lam not in self.points:
+            seed = self._seed(lam) if self.sign > 0 else None
+            self.points[lam], _ = _solve_normalized(
+                self.params, lam, self.sign, self.grid, seed)
+        return self.points[lam]
 
-    return solve
+    def tangent(self, lam) -> _Tangent:
+        lam = float(lam)
+        if lam not in self.tangents:
+            self.tangents[lam] = _tangent(self.point(lam))
+        return self.tangents[lam]
+
+    def _seed(self, lam):
+        near = sorted(self.points, key=lambda x: abs(x - lam))[:2]
+        solved = [(x + self.lam1, self.points[x].profile.values[0]
+                   * self.points[x].mu ** (1.0 / (self.params.p - 1.0)))
+                  for x in near]
+        slope = None
+        if len(solved) == 1:
+            (s0, a0), = solved
+            slope = s0 * self.tangent(near[0]).center / a0
+        return _predicted_center(lam + self.lam1, solved, slope)
 
 
-class _AlphaResolved(Exception):
-    """Stops `point_at_alpha`'s root finding at the lam it carries, whose
-    alpha meets the target to within alpha's resolution."""
+def _checked_slope(last, here):
+    """The slope at `here` from two solves given as (x, y, tangent slope):
+    the tangent's, or the secant's where the mean of the two tangents
+    misses the secant by more than 1%.  On S+ the tangent carries the
+    O(h^2 lam) gap between the shooting profile and the finite-volume
+    operator; on coarse grids at large lam it reaches tens of percent,
+    and Newton on it would converge only linearly, at that rate."""
+    secant = (here[1] - last[1]) / (here[0] - last[0])
+    mean = 0.5 * (here[2] + last[2])
+    return here[2] if abs(mean - secant) <= 0.01 * abs(secant) else secant
 
 
 def point_at_alpha(params: ProblemParams, alpha_target: float, sign: int,
@@ -303,60 +368,93 @@ def point_at_alpha(params: ProblemParams, alpha_target: float, sign: int,
     """Solve for the branch point with a prescribed alpha.
 
     On both curves alpha increases with the offset s = |lam + lambda_1|
-    from the endpoint: with lam on S+, and as lam decreases on S-.  The
-    bracket search starts at s = max(lambda_1, 1), multiplies s by 4
-    while alpha is below the target and otherwise divides it by 4, down
-    to the floor 1e-8 max(lambda_1, 1); Brent root finding in lam then
-    finishes.  Both stop at the first lam whose alpha is the target to
-    within alpha's resolution, sqrt(n) eps alpha, the roundoff of its
-    n-node quadrature sum: closer solves only move alpha by roundoff.
-    Every lam is solved once; focusing solves start from a predicted
-    center value, defocusing ones stay cold (see `_resolver`).
+    from the endpoint (with lam on S+, as lam decreases on S-), and
+    alpha - lambda_1 is close to a power of s.  So the search takes Newton
+    steps on log(alpha - lambda_1) against log s, with the slope from each
+    point's `_tangent` (checked by `_checked_slope`), starting at
+    s = max(lambda_1, 1).  While the target is unbracketed a step moves s
+    toward it by at most a factor 4, and by that factor where Newton gives
+    no step its way; s stays above the floor 1e-8 max(lambda_1, 1) and
+    |lam| below 1e8.  Once bracketed, a step that leaves the bracket is
+    replaced by its geometric midpoint.
+    The search stops at the first lam whose alpha is the target to within
+    alpha's resolution, sqrt(n) eps alpha, the roundoff of its n-node
+    quadrature sum (closer solves only move alpha by roundoff), or where
+    a step would move lam by at most 1e-13 (1 + |lam|).  Near the endpoint
+    that takes about 5 solves.  Every lam is solved once; focusing solves
+    start from a predicted center value, defocusing ones stay cold (see
+    `_Resolver`).
     """
     config = config or ShootConfig()
     grid = make_grid(params, config.n_nodes, 1.0)
     lam1 = dirichlet_lambda1_exact(params.N)
     if alpha_target <= lam1:
         raise DomainError(f"alpha must exceed lambda_1 = {lam1:.6f}")
-    solve = _resolver(params, sign, grid)
+    resolver = _Resolver(params, sign, grid)
     resolution = math.sqrt(config.n_nodes) * np.finfo(float).eps \
         * alpha_target
+    goal = math.log(alpha_target - lam1)
+    unit = max(lam1, 1.0)
+    x_floor = math.log(1e-8 * unit)
+    widen = math.log(4.0)
 
-    def alpha_of(lam):
-        miss = solve(lam).alpha - alpha_target
+    def lam_at(x):
+        return -lam1 + sign * math.exp(x)
+
+    x = math.log(unit)  # x = log s
+    below = above = None  # the nearest x on either side of the target
+    last = None  # (x, log(alpha - lambda_1), its slope) of the last solve
+    for _ in range(MAX_REFINEMENT_STEPS):
+        lam = lam_at(x)
+        point = resolver.point(lam)
+        miss = point.alpha - alpha_target
         if abs(miss) <= resolution:
-            raise _AlphaResolved(lam)
-        return miss
-
-    def lam_at(s):
-        return -lam1 + sign * s
-
-    s = unit = max(lam1, 1.0)
-    floor = 1e-8 * unit
-    try:
-        below = alpha_of(lam_at(s)) < 0.0
-        while True:
-            s_prev, s = s, 4.0 * s if below else max(0.25 * s, floor)
-            if abs(lam_at(s)) > 1e8:
+            return point
+        if miss < 0.0:
+            below = x
+        else:
+            above = x
+        gap = point.alpha - lam1
+        step = math.nan
+        if gap > 0.0:
+            here = (x, math.log(gap),
+                    sign * math.exp(x) * resolver.tangent(lam).alpha / gap)
+            slope = here[2] if last is None else _checked_slope(last, here)
+            if slope > 0.0:
+                step = (goal - here[1]) / slope
+            last = here
+        if below is None or above is None:
+            toward = widen if miss < 0.0 else -widen
+            ratio = step / toward
+            x_new = x + toward * (min(ratio, 1.0) if ratio > 0.0 else 1.0)
+            if miss < 0.0 and abs(lam_at(x_new)) > 1e8:
                 raise DomainError("alpha target not reached for |lam| <= 1e8")
-            if (alpha_of(lam_at(s)) < 0.0) != below:
-                break
-            if s == floor:
-                raise DomainError(
-                    f"alpha target {alpha_target} not bracketed at the "
-                    f"endpoint offset floor {floor:.3g}")
-        lo, hi = sorted((lam_at(s_prev), lam_at(s)))
-        lam_star = brentq(alpha_of, lo, hi, xtol=1e-13, rtol=1e-13)
-    except _AlphaResolved as hit:
-        lam_star, = hit.args
-    return solve(lam_star)
+            if miss > 0.0:
+                if x == x_floor:
+                    raise DomainError(
+                        f"alpha target {alpha_target} not bracketed at the "
+                        f"endpoint offset floor {math.exp(x_floor):.3g}")
+                x_new = max(x_new, x_floor)
+        else:
+            x_new = x + step
+            if not min(below, above) < x_new < max(below, above):
+                x_new = 0.5 * (below + above)
+        if abs(lam_at(x_new) - lam) <= 1e-13 * (1.0 + abs(lam)):
+            return point
+        x = x_new
+    raise SolverError("alpha search did not converge",
+                      steps=MAX_REFINEMENT_STEPS, alpha_target=alpha_target)
 
 
 def find_mu_star(branch: Branch):
     """Locate the interior maximum of mu(alpha) on a supercritical S+.
 
-    Returns (mu_star, alpha_star, rho_star) with rho* = (mu*)^{2/(p-1)},
-    refined by golden-section search in lam with warm-started solves.
+    Returns (mu_star, alpha_star, rho_star) with rho* = (mu*)^{2/(p-1)}
+    for the largest mu solved.  Illinois regula falsi on mu_lam (from
+    `_tangent`) runs between the neighbours of the traced maximum until
+    the bracket spans at most 1e-4 alpha; one more solve lands on the
+    vertex of the parabola through the bracket's two mu values with the
+    tangents' curvature.  About 7 warm solves.
     """
     if branch.sign < 0:
         raise DomainError("mu has no interior maximum on the defocusing curve")
@@ -373,41 +471,85 @@ def find_mu_star(branch: Branch):
             "maximum of mu not bracketed; sweep a wider lambda window"
         )
     params = branch.params
-    lo_pt, pt_j, hi_pt = branch.points[j - 1:j + 2]
-    solve = _resolver(params, +1, pt_j.profile.grid,
-                      known=(lo_pt, pt_j, hi_pt))
-    lo, hi = lo_pt.lam, hi_pt.lam
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    p1, p2 = solve(x1), solve(x2)
-    best = max([pt_j, p1, p2], key=lambda q: q.mu)
-    for _ in range(80):
-        if abs(hi_pt.alpha - lo_pt.alpha) <= 1e-4 * best.alpha:
+    lo, best, hi = branch.points[j - 1:j + 2]
+    resolver = _Resolver(params, +1, best.profile.grid, known=(lo, best, hi))
+    g_lo, g_hi = resolver.tangent(lo.lam).mu, resolver.tangent(hi.lam).mu
+    if not g_lo > 0.0 > g_hi:
+        raise SolverError("mu_lam keeps its sign around the traced maximum",
+                          lam_lo=lo.lam, lam_hi=hi.lam, mu_lam_lo=g_lo,
+                          mu_lam_hi=g_hi)
+    moved = 0  # the end the last step replaced: -1 lo, +1 hi
+    for _ in range(MAX_REFINEMENT_STEPS):
+        if hi.alpha - lo.alpha <= 1e-4 * best.alpha:
             break
-        if p1.mu >= p2.mu:
-            hi, hi_pt = x2, p2
-            x2, p2 = x1, p1
-            x1 = hi - invphi * (hi - lo)
-            p1 = solve(x1)
+        point = resolver.point((lo.lam * g_hi - hi.lam * g_lo) / (g_hi - g_lo))
+        g = resolver.tangent(point.lam).mu
+        best = max(best, point, key=lambda q: q.mu)
+        # Illinois: an end kept twice in a row has its value halved
+        if g > 0.0:
+            lo, g_lo = point, g
+            if moved < 0:
+                g_hi *= 0.5
+            moved = -1
         else:
-            lo, lo_pt = x1, p1
-            x1, p1 = x2, p2
-            x2 = lo + invphi * (hi - lo)
-            p2 = solve(x2)
-        best = max([best, p1, p2], key=lambda q: q.mu)
+            hi, g_hi = point, g
+            if moved > 0:
+                g_lo *= 0.5
+            moved = +1
+    else:
+        raise SolverError("mu* search did not converge",
+                          steps=MAX_REFINEMENT_STEPS)
+    # mu_lam's root lies O(h^2 lam) off the maximum of the shooting branch
+    # (see `_tangent`); the vertex of the parabola through the bracket's
+    # two mu values, curved like the tangents, does not
+    curvature = (resolver.tangent(hi.lam).mu - resolver.tangent(lo.lam).mu) \
+        / (hi.lam - lo.lam)
+    secant = (hi.mu - lo.mu) / (hi.lam - lo.lam)
+    vertex = resolver.point(0.5 * (lo.lam + hi.lam) - secant / curvature)
+    best = max(best, vertex, key=lambda q: q.mu)
     rho_star = best.mu ** (2.0 / (params.p - 1.0))
     return best.mu, best.alpha, rho_star
+
+
+def _mass_crossing(resolver, lo, hi, mu_target):
+    """The point between branch points lo and hi whose mu is mu_target:
+    Newton in lam on mu - mu_target with mu_lam from `_tangent` (checked
+    by `_checked_slope`), from the linear interpolate; a step that leaves
+    the bracket is replaced by its midpoint, and the search stops where a
+    step would move lam by at most 1e-12 + 1e-13 |lam|."""
+    f_lo = lo.mu - mu_target
+    a, b = lo.lam, hi.lam  # f < 0 at one end, > 0 at the other
+    lam = a + (b - a) * f_lo / (lo.mu - hi.mu)
+    last = None  # (lam, mu, mu_lam) of the last solve
+    for _ in range(MAX_REFINEMENT_STEPS):
+        point = resolver.point(lam)
+        f = point.mu - mu_target
+        if (f < 0.0) == (f_lo < 0.0):
+            a = lam
+        else:
+            b = lam
+        here = (lam, point.mu, resolver.tangent(lam).mu)
+        slope = here[2] if last is None else _checked_slope(last, here)
+        last = here
+        new = lam - f / slope if slope != 0.0 else math.nan
+        if not min(a, b) < new < max(a, b):
+            new = 0.5 * (a + b)
+        if abs(new - lam) <= 1e-12 + 1e-13 * abs(lam):
+            return point
+        lam = new
+    raise SolverError("prescribed-mass search did not converge",
+                      steps=MAX_REFINEMENT_STEPS, mu_target=mu_target)
 
 
 def solutions_at_mass(branch: Branch, rho: float) -> list[BranchPoint]:
     """All branch points with prescribed mass rho, i.e. mu = rho^{(p-1)/2}.
 
-    Crossings of the traced polyline are refined by Brent root finding in
-    lam between the two branch points that bracket them; those points are
-    not solved again, and new solves start warm from the nearest solved
-    lam.  The count follows the regime: one in the subcritical range, one
-    for admissible critical masses, zero or two or more supercritically.
+    Each crossing of the traced polyline is refined by Newton in lam
+    between the two branch points that bracket it (`_mass_crossing`),
+    in about 4 solves; those points are not solved again, and new solves
+    start warm from the nearest solved lam.  The count follows the
+    regime: one in the subcritical range, one for admissible critical
+    masses, zero or two or more supercritically.
     """
     if rho <= 0.0 or not math.isfinite(rho):
         raise ParameterError(f"mass must be positive, got {rho}")
@@ -416,24 +558,19 @@ def solutions_at_mass(branch: Branch, rho: float) -> list[BranchPoint]:
     params = branch.params
     mu_target = rho ** ((params.p - 1.0) / 2.0)
     mus = branch.mus
-    lams = branch.lambdas
-    solve = _resolver(params, +1, branch.points[0].profile.grid,
-                      known=branch.points)
-
-    def g(lam):
-        return solve(lam).mu - mu_target
-
+    points = branch.points
+    resolver = _Resolver(params, +1, points[0].profile.grid, known=points)
     out: list[BranchPoint] = []
     for i in range(len(mus) - 1):
         f0, f1 = mus[i] - mu_target, mus[i + 1] - mu_target
         if f0 == 0.0:
-            out.append(branch.points[i])
+            out.append(points[i])
             continue
         if f0 * f1 < 0.0:
-            lam_star = brentq(g, lams[i], lams[i + 1], xtol=1e-12, rtol=1e-13)
-            out.append(solve(lam_star))
+            out.append(_mass_crossing(resolver, points[i], points[i + 1],
+                                      mu_target))
     if len(mus) >= 1 and mus[-1] == mu_target:
-        out.append(branch.points[-1])
+        out.append(points[-1])
     out.sort(key=lambda pt: pt.alpha)
     return out
 

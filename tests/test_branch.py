@@ -211,12 +211,15 @@ class TestPointAtAlpha:
     @pytest.mark.parametrize("offset", [-1.0, 1.0])
     def test_unbracketed_target_rejected(self, cfg_fast, monkeypatch, offset):
         # alpha stays below the target up to |lam| = 1e8, or above it
-        # down to the endpoint offset floor
+        # down to the endpoint offset floor; a flat alpha has no slope
         lam1 = math.pi**2 / 4
         flat = SimpleNamespace(alpha=lam1 + 0.5 + offset)
         monkeypatch.setattr(branch_module, "_solve_normalized",
                             lambda *args: (flat, None))
-        with pytest.raises(DomainError):
+        monkeypatch.setattr(branch_module, "_tangent",
+                            lambda point: branch_module._Tangent(0.0, 0.0, 0.0))
+        message = "not reached" if offset < 0.0 else "offset floor"
+        with pytest.raises(DomainError, match=message):
             point_at_alpha(P13, lam1 + 0.5, -1, cfg_fast)
 
 
@@ -288,7 +291,7 @@ class TestRefinementSolves:
     @pytest.mark.parametrize("sign", [+1, -1])
     def test_endpoint_point_at_alpha(self, solved, cfg_fast, eps, sign):
         pt = point_at_alpha(P13, math.pi**2 / 4 + eps, sign, cfg_fast)
-        assert len(set(solved)) == len(solved) <= 13
+        assert len(set(solved)) == len(solved) <= 6
         self.assert_cold(pt, sign)
 
     @pytest.mark.parametrize("eps", [1e-3, 2.5e-4])
@@ -311,18 +314,89 @@ class TestRefinementSolves:
         assert misses[-1] <= resolution
         assert all(miss > resolution for miss in misses[:-1])
 
+    def test_one_point_seed_follows_tangent(self, monkeypatch, cfg_fast):
+        # the second endpoint solve has a single solved neighbour; its seed
+        # comes along that point's tangent, not from its center value
+        seeds = []
+
+        def recording(params, lam, sign, grid, seed=None):
+            out = _solve_normalized(params, lam, sign, grid, seed)
+            seeds.append((seed, out[1]))
+            return out
+
+        monkeypatch.setattr(branch_module, "_solve_normalized", recording)
+        point_at_alpha(P13, math.pi**2 / 4 + 1e-3, +1, cfg_fast)
+        (cold, _), (seed, center) = seeds[:2]
+        assert cold is None
+        assert abs(seed / center - 1.0) < 0.05
+
     def test_find_mu_star(self, solved, branch_33):
         find_mu_star(branch_33)
-        assert len(set(solved)) == len(solved)
+        assert len(set(solved)) == len(solved) <= 8
         assert not set(solved) & set(branch_33.lambdas)
+
+    def test_coarse_grid_large_lam(self, solved):
+        # at n=257 and lam ~ 7000 the tangent's O(h^2 lam) gap makes
+        # alpha_lam 8 times too large; the secant slope takes over
+        pt = point_at_alpha(P33, 2e4, +1, ShootConfig(n_nodes=257))
+        assert pt.alpha == pytest.approx(2e4, rel=1e-12)
+        assert len(solved) <= 12
+
+    def test_mu_star_is_a_local_maximum(self, monkeypatch):
+        # on a coarse grid the root of the tangent's mu_lam lies about
+        # 5e-4 in lam off the branch's own maximum
+        cfg = ShootConfig(n_nodes=513)
+        grid = make_grid(P33, cfg.n_nodes, 1.0)
+        br = trace(P33, geometric_lambda_grid(P33, -9.0, 30.0, 12, sign=+1),
+                   +1, cfg)
+        solved = {}
+
+        def recording(params, lam, sign, grid, seed=None):
+            out = _solve_normalized(params, lam, sign, grid, seed)
+            solved[out[0].mu] = lam
+            return out
+
+        monkeypatch.setattr(branch_module, "_solve_normalized", recording)
+        mu_star, _, _ = find_mu_star(br)
+        lam_star = solved[mu_star]
+        for offset in (-1e-3, -5e-4, -2e-4, 2e-4, 5e-4, 1e-3):
+            near, _ = _solve_normalized(P33, lam_star + offset, +1, grid)
+            assert near.mu <= mu_star
 
     def test_solutions_at_mass(self, solved, branch_33):
         sols = solutions_at_mass(branch_33, 6.0)
         assert len(sols) == 2
-        assert len(set(solved)) == len(solved)
+        assert len(set(solved)) == len(solved) <= 4 * len(sols)
         assert not set(solved) & set(branch_33.lambdas)
         for pt in sols:
             self.assert_cold(pt, +1)
+
+
+class TestTangent:
+    """`_tangent` against centered differences of cold solves at
+    lam +- 1e-4 max(1, |lam|).  On S+ the finite-volume tangent of an RK4
+    profile is off by O(h^2 lam); on S- both use the same operator."""
+
+    @pytest.mark.parametrize("params,lam,sign,bound", [
+        (P13, -2.0, +1, 1e-5), (P13, 20.0, +1, 1e-5),
+        (P33, 1000.0, +1, 5e-3),
+        (P13, -50.0, -1, 1e-8), (P13, -1000.0, -1, 1e-8)])
+    def test_matches_centered_differences(self, cfg_fine, params, lam, sign,
+                                          bound):
+        grid = make_grid(params, cfg_fine.n_nodes, 1.0)
+        h = 1e-4 * max(1.0, abs(lam))
+        point, lo, hi = (_solve_normalized(params, x, sign, grid)[0]
+                         for x in (lam, lam - h, lam + h))
+        tangent = branch_module._tangent(point)
+
+        def center(pt):
+            return pt.profile.values[0] * abs(pt.mu) ** (1.0 / (params.p - 1.0))
+
+        for got, f in ((tangent.alpha, lambda pt: pt.alpha),
+                       (tangent.mu, lambda pt: pt.mu),
+                       (tangent.center, center)):
+            quotient = (f(hi) - f(lo)) / (2.0 * h)
+            assert abs(got / quotient - 1.0) <= bound
 
 
 class TestLeastEnergy:
