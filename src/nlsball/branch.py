@@ -79,7 +79,8 @@ class BranchDerivative:
 
 @dataclass(frozen=True)
 class Branch:
-    """Ordered solution points plus difference-quotient derivative data."""
+    """Ordered solution points; derivatives in alpha at each point come
+    from the branch tangent there (`_tangent`)."""
 
     sign: int
     params: ProblemParams
@@ -106,50 +107,34 @@ class Branch:
         return len(self.points)
 
     def derivative(self, i: int) -> BranchDerivative:
-        """Derivatives in alpha at interior index i: nonuniform centered
-        differences along lam, the parameter the points were solved at,
-        divided by dalpha/dlam.  Near the endpoint u - phi_1 grows like
-        sqrt(alpha - lambda_1), which differences in alpha resolve poorly."""
-        if not (1 <= i <= len(self.points) - 2):
-            raise ParameterError(f"index {i} has no two neighbors")
-        lo, mid, hi = self.points[i - 1], self.points[i], self.points[i + 1]
-        hm = mid.lam - lo.lam
-        hp = hi.lam - mid.lam
-
-        def diff_lam(fm, f0, fp):
-            return (hm * hm * fp - hp * hp * fm + (hp * hp - hm * hm) * f0) / (
-                hm * hp * (hm + hp)
-            )
-
-        alpha_lam = _alpha_step(diff_lam(lo.alpha, mid.alpha, hi.alpha),
-                                i, mid)
-
-        def diff(fm, f0, fp):
-            return diff_lam(fm, f0, fp) / alpha_lam
-
-        vals = diff(lo.profile.values, mid.profile.values, hi.profile.values)
-        vr1 = diff(lo.ur1, mid.ur1, hi.ur1)
-        v = RadialProfile(mid.profile.grid, vals, float(vr1))
+        """Derivatives in alpha at index i, endpoints included: the
+        derivatives in lam of `_tangent` at point i, the parameter the
+        points were solved at, divided by dalpha/dlam; SolverError where
+        dalpha/dlam is 0 or not finite.  Near the endpoint u - phi_1 grows
+        like sqrt(alpha - lambda_1), which derivatives in alpha resolve
+        poorly and derivatives in lam do not."""
+        if not 0 <= i < len(self.points):
+            raise ParameterError(
+                f"index {i} is outside the branch of {len(self.points)} points")
+        point = self.points[i]
+        t = _tangent(point)
+        alpha_lam = t.alpha
+        if alpha_lam == 0.0 or not math.isfinite(alpha_lam):
+            raise SolverError("alpha does not change along the branch",
+                              i=i, lam=point.lam, alpha=point.alpha)
+        v = RadialProfile(point.profile.grid, t.u.values / alpha_lam,
+                          float(t.u.boundary_derivative / alpha_lam))
         return BranchDerivative(
             v=v,
-            mu_prime=float(diff(lo.mu, mid.mu, hi.mu)),
+            mu_prime=float(t.mu / alpha_lam),
             lambda_prime=float(1.0 / alpha_lam),
-            M_prime=float(diff(lo.M_alpha, mid.M_alpha, hi.M_alpha)),
-            vr1=float(vr1),
+            M_prime=float(t.M / alpha_lam),
+            vr1=v.boundary_derivative,
         )
 
     @cached_property
     def derivative_estimates(self) -> tuple[BranchDerivative, ...]:
-        return tuple(self.derivative(i) for i in range(1, len(self.points) - 1))
-
-
-def _alpha_step(value: float, i: int, point: BranchPoint) -> float:
-    """`value`, a change of alpha that a derivative in alpha divides by;
-    SolverError if it is 0 or not finite (alpha stalls at point i)."""
-    if value == 0.0 or not math.isfinite(value):
-        raise SolverError("alpha does not change between neighboring points",
-                          i=i, lam=point.lam, alpha=point.alpha)
-    return value
+        return tuple(self.derivative(i) for i in range(len(self.points)))
 
 
 def normalize(profile: RadialProfile, lam: float, mu_sign: int,
@@ -270,9 +255,11 @@ def trace(params: ProblemParams, lambda_grid, sign: int,
 class _Tangent:
     """Derivatives in lam along the branch at one point."""
 
-    alpha: float    # d alpha / d lam
-    mu: float       # d mu / d lam
-    center: float   # d a / d lam, a = u(0) |mu|^{1/(p-1)}
+    u: RadialProfile  # d u / d lam, with boundary slope d u_r(1) / d lam
+    alpha: float      # d alpha / d lam
+    mu: float         # d mu / d lam
+    M: float          # d M_alpha / d lam
+    center: float     # d a / d lam, a = u(0) |mu|^{1/(p-1)}
 
 
 def _tangent(point: BranchPoint) -> _Tangent:
@@ -281,27 +268,41 @@ def _tangent(point: BranchPoint) -> _Tangent:
 
     U = |mu|^{1/(p-1)} u solves A U + lam U = sign U^p, and differentiating
     in lam gives (A + lam - sign p U^{p-1}) W = -U for W = U_lam.  With
-    v = W / |mu|^{1/(p-1)} and m = int U^2 = |mu|^{2/(p-1)}, m_lam / m =
-    2 int u v, mu_lam = mu (p-1)/2 m_lam/m and alpha_lam = 2 int u' v' -
-    alpha m_lam/m, with u' and v' from the nodal derivative
-    `grad_norm_sq` uses.  S- profiles solve A's equation and the tangent
-    is exact to roundoff; S+ profiles come from RK4 shooting, and the
-    tangent carries the O(h^2 lam) gap between the two discretizations.
+    w = W / |mu|^{1/(p-1)} and m = int U^2 = |mu|^{2/(p-1)}, m_lam / m =
+    2 int u w, u_lam = w - (int u w) u, mu_lam = mu (p-1)/2 m_lam/m,
+    alpha_lam = 2 int u' w' - alpha m_lam/m, M_lam = (p+1) int u^p u_lam
+    and u_r(1)_lam = w_r(1) - (int u w) u_r(1), with u' and w' from the
+    nodal derivative `grad_norm_sq` uses and w_r(1) from the operator's
+    `boundary_slope`.  So int u u_lam = 0 and int u' u_lam' = alpha_lam / 2
+    hold to roundoff.  S- profiles solve A's equation and the tangent is
+    exact to roundoff; S+ profiles come from RK4 shooting, and the tangent
+    carries the O(h^2 lam) gap between the two discretizations.  Where an
+    S+ profile ends in a grafted tail (u below the noise floor before
+    r = 1, e.g. N=3 at lam >= 500), the finite-volume slope w_r(1) is
+    roundoff, about 5e-7 at n=2049, and so is u_r(1)_lam; the product
+    u_r(1) u_r(1)_lam that the boundary-flux identity reads stays below
+    1e-13 there.
     """
     p = point.params.p
     u = point.profile
-    op = u.grid.operator
+    grid = u.grid
+    op = grid.operator
     y = u.values[: len(op.diag)]
-    values = np.zeros(u.grid.n_nodes)
+    values = np.zeros(grid.n_nodes)
     values[: len(y)] = op.solve(point.lam - p * point.mu * y ** (p - 1.0),
                                 -y)
-    v = RadialProfile(u.grid, values, op.boundary_slope(values))
-    mass_rate = 2.0 * u.grid.integrate(u.values * v.values)
-    grad_pairing = u.grid.integrate(u.derivative_values()
-                                    * v.derivative_values())
+    w = RadialProfile(grid, values, op.boundary_slope(values))
+    uw = grid.integrate(u.values * w.values)
+    mass_rate = 2.0 * uw
+    grad_pairing = grid.integrate(u.derivative_values()
+                                  * w.derivative_values())
+    u_lam = RadialProfile(grid, w.values - uw * u.values,
+                          w.boundary_derivative - uw * u.boundary_derivative)
     return _Tangent(
+        u=u_lam,
         alpha=2.0 * grad_pairing - point.alpha * mass_rate,
         mu=0.5 * (p - 1.0) * point.mu * mass_rate,
+        M=(p + 1.0) * grid.integrate(np.abs(u.values) ** p * u_lam.values),
         center=float(values[0]) * abs(point.mu) ** (1.0 / (p - 1.0)),
     )
 
@@ -586,24 +587,18 @@ def least_energy_at_mass(branch: Branch, rho: float) -> BranchPoint:
 def classify_stability(branch: Branch) -> Branch:
     """Tag points by the sign of mu'(alpha) (focusing branch only).
 
-    stable where mu' > tol, unstable where mu' < -tol, boundary inside the
-    band |mu'| <= tol with tol = 1e-3 max|mu'|; endpoints inherit the
-    one-sided difference.  The sign criterion addresses S+ only, so
+    mu' = mu_lam / alpha_lam comes from `Branch.derivative` at every
+    point, endpoints included, and only that scalar is kept: neither
+    branch caches the derivative profiles.  stable where mu' > tol,
+    unstable where mu' < -tol, boundary inside the band |mu'| <= tol with
+    tol = 1e-3 max|mu'|.  The sign criterion addresses S+ only, so
     defocusing branches come back tagged unknown.
     """
     if branch.sign < 0:
         return branch
-    n = len(branch.points)
-    if n < 3:
-        raise ParameterError("need at least 3 points to classify stability")
-    mu_primes = np.empty(n)
-    for i in range(1, n - 1):
-        mu_primes[i] = branch.derivative(i).mu_prime
-    mus, alphas, points = branch.mus, branch.alphas, branch.points
-    mu_primes[0] = (mus[1] - mus[0]) / _alpha_step(
-        alphas[1] - alphas[0], 0, points[0])
-    mu_primes[-1] = (mus[-1] - mus[-2]) / _alpha_step(
-        alphas[-1] - alphas[-2], n - 1, points[-1])
+    if not branch.points:
+        raise ParameterError("cannot classify the stability of an empty branch")
+    mu_primes = [branch.derivative(i).mu_prime for i in range(len(branch))]
     tol = 1e-3 * np.max(np.abs(mu_primes))
     tags = []
     for d in mu_primes:

@@ -206,7 +206,7 @@ def _traced_branch(cfg, sign):
 def cmd_branch(cfg, out_path):
     sign = _sign_of(cfg["sign"])
     br = _traced_branch(cfg, sign)
-    if len(br.points) >= 3 and sign > 0:
+    if br.points and sign > 0:
         br = branch_mod.classify_stability(br)
     rows = []
     for pt in br.points:
@@ -250,14 +250,15 @@ def cmd_verify(cfg, out_path):
     """Trace the branch and report its identity residuals and, at
     `spectrum_points` points, the linearized spectrum's negative counts and
     gap; exit 1 when a residual exceeds its tolerance or a focusing Morse
-    index differs from 1.  `SolverError` (a branch shorter than 3 points,
-    a sector with more negative eigenvalues than are computed) exits 1 too.
+    index differs from 1.  `SolverError` (a branch without points, alpha
+    stalling along it, a sector with more negative eigenvalues than are
+    computed) exits 1 too.
     """
     sign = _sign_of(cfg["sign"])
     br = _traced_branch(cfg, sign)
-    if len(br.points) < 3:
-        raise SolverError("branch too short for the identity suite",
-                          points=len(br.points))
+    if not br.points:
+        raise SolverError("no branch point for the identity suite",
+                          failures=len(br.failures))
     report = verify_mod.derivative_identities(br)
     idx = np.linspace(0, len(br.points) - 1, cfg["spectrum_points"]).astype(int)
     spectra = []

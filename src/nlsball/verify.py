@@ -3,8 +3,10 @@
 Every exact solution ties its scalars together: the radial Pohozaev
 identity fixes lambda in terms of alpha and the boundary flux, the
 differentiated constraints pair u with v = du/dalpha, and the boundary
-form links mu' to u_r(1) v_r(1).  The residuals of these identities
-measure the combined discretization and continuation error.  The lowest
+form links mu' to u_r(1) v_r(1).  The derivatives come from the branch
+tangent at each point (`Branch.derivative`), so the residuals measure the
+discretization error alone; int u v = 0 and int grad u . grad v = 1/2
+hold by the tangent's construction and read roundoff.  The lowest
 eigenvalues of the linearized operator's radial spectrum supply the Morse
 index and the nondegeneracy gap per spherical-harmonic sector.
 """
@@ -24,17 +26,10 @@ N_STORED_EIGENVALUES = 16
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Per-point identity residuals along a branch.
-
-    `pohozaev_res` covers every point; the derivative-based residuals
-    cover interior points (centered differences need both neighbors) and
-    are aligned with `interior_alphas`.  `alpha_steps` records the alpha
-    span of each difference stencil.
-    """
+    """Per-point identity residuals along a branch, every array aligned
+    with `alphas`."""
 
     alphas: np.ndarray
-    interior_alphas: np.ndarray
-    alpha_steps: np.ndarray
     pohozaev_res: np.ndarray
     multiplier_res: np.ndarray
     orthogonality_res: np.ndarray       # |int u v|
@@ -80,12 +75,12 @@ def multiplier_residual(point: BranchPoint) -> float:
 def boundary_flux_check(branch: Branch) -> np.ndarray:
     """Residual of the boundary-flux form of mu',
     mu' M = (p+1)/(2(p-1)) [ (-p+1+4/N) - (4 omega/N) u_r(1) v_r(1) ],
-    per interior point, normalized by the larger side."""
+    per point, normalized by the larger side."""
     params = branch.params
     N, p = params.N, params.p
-    out = np.empty(max(len(branch.points) - 2, 0))
-    interior = zip(branch.points[1:-1], branch.derivative_estimates)
-    for k, (pt, d) in enumerate(interior):
+    out = np.empty(len(branch.points))
+    for k, (pt, d) in enumerate(zip(branch.points,
+                                    branch.derivative_estimates)):
         lhs = d.mu_prime * pt.M_alpha
         bracket = (-p + 1.0 + 4.0 / N) \
             - (4.0 * params.omega / N) * pt.ur1 * d.vr1
@@ -98,20 +93,18 @@ def derivative_identities(branch: Branch) -> IdentityReport:
     """All identity residuals along a branch, derivatives from
     `Branch.derivative_estimates`."""
     n = len(branch.points)
-    if n < 3:
-        raise ParameterError("need at least 3 points for centered differences")
-    params = branch.params
-    p = params.p
-    m = n - 2
-    orth = np.empty(m)
-    gradp = np.empty(m)
-    nlp = np.empty(m)
-    mup = np.empty(m)
-    Mp = np.empty(m)
-    lam_primes = np.empty(m)
-    mu_primes = np.empty(m)
-    interior = zip(branch.points[1:-1], branch.derivative_estimates)
-    for k, (pt, d) in enumerate(interior):
+    if n == 0:
+        raise ParameterError("the identity suite needs a nonempty branch")
+    p = branch.params.p
+    orth = np.empty(n)
+    gradp = np.empty(n)
+    nlp = np.empty(n)
+    mup = np.empty(n)
+    Mp = np.empty(n)
+    lam_primes = np.empty(n)
+    mu_primes = np.empty(n)
+    for k, (pt, d) in enumerate(zip(branch.points,
+                                    branch.derivative_estimates)):
         grid = pt.profile.grid
         u = pt.profile.values
         v = d.v.values
@@ -129,8 +122,6 @@ def derivative_identities(branch: Branch) -> IdentityReport:
         mu_primes[k] = d.mu_prime
     return IdentityReport(
         alphas=branch.alphas,
-        interior_alphas=branch.alphas[1:-1],
-        alpha_steps=branch.alphas[2:] - branch.alphas[:-2],
         pohozaev_res=np.array([pohozaev_residual(pt) for pt in branch.points]),
         multiplier_res=np.array([multiplier_residual(pt) for pt in branch.points]),
         orthogonality_res=orth,

@@ -217,7 +217,7 @@ class TestPointAtAlpha:
         monkeypatch.setattr(branch_module, "_solve_normalized",
                             lambda *args: (flat, None))
         monkeypatch.setattr(branch_module, "_tangent",
-                            lambda point: branch_module._Tangent(0.0, 0.0, 0.0))
+                            lambda point: SimpleNamespace(alpha=0.0))
         message = "not reached" if offset < 0.0 else "offset floor"
         with pytest.raises(DomainError, match=message):
             point_at_alpha(P13, lam1 + 0.5, -1, cfg_fast)
@@ -375,7 +375,9 @@ class TestRefinementSolves:
 class TestTangent:
     """`_tangent` against centered differences of cold solves at
     lam +- 1e-4 max(1, |lam|).  On S+ the finite-volume tangent of an RK4
-    profile is off by O(h^2 lam); on S- both use the same operator."""
+    profile is off by O(h^2 lam); on S- both use the same operator.
+    u_r(1)_lam is not compared at N=3, lam=1000: the S+ tail there is
+    grafted and its finite-volume slope is roundoff (see `_tangent`)."""
 
     @pytest.mark.parametrize("params,lam,sign,bound", [
         (P13, -2.0, +1, 1e-5), (P13, 20.0, +1, 1e-5),
@@ -392,9 +394,14 @@ class TestTangent:
         def center(pt):
             return pt.profile.values[0] * abs(pt.mu) ** (1.0 / (params.p - 1.0))
 
-        for got, f in ((tangent.alpha, lambda pt: pt.alpha),
-                       (tangent.mu, lambda pt: pt.mu),
-                       (tangent.center, center)):
+        checks = [(tangent.alpha, lambda pt: pt.alpha),
+                  (tangent.mu, lambda pt: pt.mu),
+                  (tangent.M, lambda pt: pt.M_alpha),
+                  (tangent.center, center)]
+        if params.N == 1:
+            checks.append((tangent.u.boundary_derivative,
+                           lambda pt: pt.ur1))
+        for got, f in checks:
             quotient = (f(hi) - f(lo)) / (2.0 * h)
             assert abs(got / quotient - 1.0) <= bound
 
@@ -436,14 +443,19 @@ class TestStability:
             if 1.5 * alpha_star < pt.alpha < 10.0 * alpha_star:
                 assert pt.stability is StabilityTag.UNSTABLE
 
-    def test_equal_alpha_endpoint_raises(self, branch_13):
-        # the last point's one-sided quotient divides by alpha_3 - alpha_2
-        pts = branch_13.points[:3]
-        last = replace(pts[-1], lam=pts[-1].lam + 0.1)
+    def test_equal_alpha_endpoint_raises(self, branch_13, monkeypatch):
+        # mu' at the last point divides by its alpha_lam, stubbed to 0
+        pts = branch_13.points[:4]
+        _stall_alpha_at(monkeypatch, pts[-1])
         with pytest.raises(SolverError) as exc:
-            classify_stability(replace(branch_13, points=pts + (last,)))
-        assert exc.value.diagnostics == {"i": 3, "lam": last.lam,
-                                         "alpha": last.alpha}
+            classify_stability(replace(branch_13, points=pts))
+        assert exc.value.diagnostics == {"i": 3, "lam": pts[-1].lam,
+                                         "alpha": pts[-1].alpha}
+
+    def test_keeps_no_profiles(self, branch_13):
+        tagged = classify_stability(branch_13)
+        assert "derivative_estimates" not in vars(branch_13)
+        assert "derivative_estimates" not in vars(tagged)
 
     def test_defocusing_unknown(self, branch_defoc):
         tagged = classify_stability(branch_defoc)
@@ -482,15 +494,38 @@ class TestDerivativeEstimates:
         dv = d.v.derivative_values()
         assert grid.integrate(du * dv) == pytest.approx(0.5, abs=5e-2)
 
-    def test_equal_alpha_neighbors_raise(self, branch_13):
+    def test_equal_alpha_neighbors_raise(self, branch_13, monkeypatch):
+        # alpha_lam = 0 at point 5: a typed SolverError, whatever the
+        # neighbours
         pt = branch_13.points[5]
-        flat = replace(branch_13, points=(pt, replace(pt, lam=pt.lam + 0.5),
-                                          replace(pt, lam=pt.lam + 1.0)))
+        _stall_alpha_at(monkeypatch, pt)
         with pytest.raises(SolverError) as exc:
-            flat.derivative(1)
-        assert exc.value.diagnostics == {"i": 1, "lam": pt.lam + 0.5,
+            branch_13.derivative(5)
+        assert exc.value.diagnostics == {"i": 5, "lam": pt.lam,
                                          "alpha": pt.alpha}
 
-    def test_requires_neighbors(self, branch_13):
+    def test_endpoints_and_short_branches(self, branch_13):
+        # each derivative comes from its own point's tangent, so it is the
+        # same at the endpoints, on a 2-point branch and on the full one
+        n = len(branch_13.points)
+        for i in (0, n - 1):
+            d = branch_13.derivative(i)
+            assert d.lambda_prime > 0.0 and d.mu_prime > 0.0
+        pair = replace(branch_13, points=branch_13.points[:2])
+        for i in (0, 1):
+            d, full = pair.derivative(i), branch_13.derivative(i)
+            assert d.mu_prime == full.mu_prime
+            assert np.array_equal(d.v.values, full.v.values)
         with pytest.raises(ParameterError):
-            branch_13.derivative(0)
+            branch_13.derivative(n)
+        with pytest.raises(ParameterError):
+            classify_stability(replace(branch_13, points=()))
+
+
+def _stall_alpha_at(monkeypatch, point):
+    """Stub `_tangent` so that alpha_lam is 0 at `point` only."""
+    tangent = branch_module._tangent
+    monkeypatch.setattr(
+        branch_module, "_tangent",
+        lambda pt: replace(tangent(pt), alpha=0.0) if pt is point
+        else tangent(pt))

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from nlsball import branch as branch_module
 from nlsball.cli import main
 
 
@@ -136,17 +137,20 @@ class TestVerifyCommand:
         assert doc["max_pohozaev_res"] < 1e-5
 
     def test_coarse_defocusing_window_reports(self, tmp_path):
-        # 9 points span the S- window too coarsely for the derivative
-        # identities: exit 1 through the report, with every point solved
+        # 9 points over the S- window: the derivatives come from each
+        # point's tangent, so the residuals are those of the 121-point run
         cfg = write_cfg(tmp_path / "c.cfg", N=1, p=3.0, sign="defocusing",
                         lambda_min=-2.6, lambda_max=-2000.0, num_points=9,
                         n_nodes=2049)
         out = tmp_path / "v.json"
-        assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["points"] == 9
-        assert doc["failures"] == ["derivative-pairing", "M-prime"]
+        assert doc["failures"] == []
+        assert doc["pass"] is True
         assert doc["max_pohozaev_res"] < 1e-5
+        assert doc["max_nonlinear_pairing_res"] < 1e-4
+        assert doc["max_M_prime_res"] < 1e-3
         assert all(s["total_negative"] == 0 for s in doc["spectra"])
 
     def test_threshold_failure_exit_code(self, tmp_path):
@@ -162,11 +166,14 @@ class TestVerifyCommand:
     def test_equal_alpha_neighbors_exit_1(self, tmp_path, capsys,
                                           monkeypatch, branch_13):
         # alpha_lam = 0 at the middle point: a typed SolverError, exit 1
-        pt = branch_13.points[5]
-        flat = replace(branch_13, points=(pt, replace(pt, lam=pt.lam + 0.5),
-                                          replace(pt, lam=pt.lam + 1.0)))
+        short = replace(branch_13, points=branch_13.points[4:7])
+        tangent = branch_module._tangent
+        monkeypatch.setattr(
+            branch_module, "_tangent",
+            lambda pt: replace(tangent(pt), alpha=0.0)
+            if pt is short.points[1] else tangent(pt))
         monkeypatch.setattr("nlsball.cli._traced_branch",
-                            lambda cfg, sign: flat)
+                            lambda cfg, sign: short)
         cfg = write_cfg(tmp_path / "c.cfg", N=1, p=3.0, lambda_min=0.0,
                         lambda_max=8.0, num_points=3, n_nodes=1025)
         assert main(["verify", "--config", cfg]) == 1

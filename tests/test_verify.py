@@ -34,10 +34,9 @@ P33 = ProblemParams(N=3, p=3.0)
 
 @pytest.fixture(scope="module")
 def identity_branch():
-    # ~2.6% geometric steps in lambda + lambda_1 keep the centered-difference
-    # residuals inside the 1e-3 band
+    # the tangent residuals depend on the grid, not on the point count
     cfg = ShootConfig(n_nodes=2049)
-    lams = geometric_lambda_grid(P13, -1.0, 30.0, 121, sign=+1)
+    lams = geometric_lambda_grid(P13, -1.0, 30.0, 30, sign=+1)
     return trace(P13, lams, +1, cfg)
 
 
@@ -83,20 +82,27 @@ class TestDerivativeIdentities:
         rep = derivative_identities(branch_33)
         assert np.all(rep.lambda_primes > 0.0)
 
-    def test_step_refinement_order(self, cfg_fine):
-        # halving the alpha step cuts the pairing residual at least linearly
+    def test_grid_refinement_order(self):
+        # the residuals are O(h^2) grid error, with no lambda-step part
         res = []
-        for n_pts in (31, 61):
-            lams = geometric_lambda_grid(P13, 1.0, 10.0, n_pts, sign=+1)
-            br = trace(P13, lams, +1, cfg_fine)
+        lams = geometric_lambda_grid(P13, 1.0, 10.0, 31, sign=+1)
+        for n in (1025, 2049, 4097):
+            br = trace(P13, lams, +1, ShootConfig(n_nodes=n))
             rep = derivative_identities(br)
             res.append(np.max(rep.nonlinear_pairing_res))
-        assert res[0] / res[1] > 2.0
+        assert res[0] / res[1] > 3.0
+        assert res[1] / res[2] > 3.0
 
     def test_too_short(self, cfg_fast):
+        # every point has its derivatives, the two endpoints of a 2-point
+        # branch too; only an empty branch has no identity suite
         br = trace(P13, [0.0, 1.0], +1, cfg_fast)
+        rep = derivative_identities(br)
+        assert len(rep.nonlinear_pairing_res) == len(rep.alphas) == 2
+        assert len(rep.boundary_flux_res) == 2
+        assert np.max(rep.nonlinear_pairing_res) < 1e-3
         with pytest.raises(ParameterError):
-            derivative_identities(br)
+            derivative_identities(replace(br, points=()))
 
 
 class TestBoundaryFlux:
