@@ -248,11 +248,11 @@ def cmd_figure1(cfg, out_path):
 
 def cmd_verify(cfg, out_path):
     """Trace the branch and report its identity residuals and, at
-    `spectrum_points` points, the linearized spectrum's negative counts and
-    gap; exit 1 when a residual exceeds its tolerance or a focusing Morse
-    index differs from 1.  `SolverError` (a branch without points, alpha
-    stalling along it, a sector with more negative eigenvalues than are
-    computed) exits 1 too.
+    `spectrum_points` points, the linearized spectrum's exact negative
+    counts and gap; exit 1 when a residual exceeds its tolerance (the
+    derivative pairings and the boundary-flux form of mu' against
+    `pairing_tol`) or a focusing Morse index differs from 1.  `SolverError`
+    (a branch without points, alpha stalling along it) exits 1 too.
     """
     sign = _sign_of(cfg["sign"])
     br = _traced_branch(cfg, sign)
@@ -281,6 +281,8 @@ def cmd_verify(cfg, out_path):
     )
     if pairing_max > cfg["pairing_tol"]:
         failures.append("derivative-pairing")
+    if float(np.max(report.boundary_flux_res)) > cfg["pairing_tol"]:
+        failures.append("boundary-flux")
     if float(np.max(report.M_prime_res)) > cfg["m_prime_tol"]:
         failures.append("M-prime")
     if sign > 0:

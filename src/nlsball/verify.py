@@ -6,9 +6,10 @@ differentiated constraints pair u with v = du/dalpha, and the boundary
 form links mu' to u_r(1) v_r(1).  The derivatives come from the branch
 tangent at each point (`Branch.derivative`), so the residuals measure the
 discretization error alone; int u v = 0 and int grad u . grad v = 1/2
-hold by the tangent's construction and read roundoff.  The lowest
-eigenvalues of the linearized operator's radial spectrum supply the Morse
-index and the nondegeneracy gap per spherical-harmonic sector.
+hold by the tangent's construction and read roundoff.  The inertia of the
+linearized operator's radial spectrum supplies the Morse index per
+spherical-harmonic sector, and the two eigenvalues that border zero supply
+the nondegeneracy gap.
 """
 
 from __future__ import annotations
@@ -16,12 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstebz
 
 from .branch import Branch, BranchPoint
 from .errors import ParameterError, SolverError
-
-N_STORED_EIGENVALUES = 16
 
 
 @dataclass(frozen=True)
@@ -44,10 +43,12 @@ class IdentityReport:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Radial spectra of the linearized operator per harmonic sector."""
+    """Inertia of the linearized operator per harmonic sector.  Each
+    sector's `eigenvalues` are its negative eigenvalues and its lowest
+    nonnegative one, ascending (no nonnegative one if all are negative)."""
 
     l_values: tuple[int, ...]
-    eigenvalues: tuple[np.ndarray, ...]  # lowest few per sector, ascending
+    eigenvalues: tuple[np.ndarray, ...]
     negative_counts: tuple[int, ...]
     min_abs_eigenvalue: float
     total_negative: int
@@ -75,7 +76,10 @@ def multiplier_residual(point: BranchPoint) -> float:
 def boundary_flux_check(branch: Branch) -> np.ndarray:
     """Residual of the boundary-flux form of mu',
     mu' M = (p+1)/(2(p-1)) [ (-p+1+4/N) - (4 omega/N) u_r(1) v_r(1) ],
-    per point, normalized by the larger side."""
+    per point, normalized by the larger side and at least 1, as the other
+    mu' identity is: mu' changes sign on supercritical branches and is
+    small throughout at p = 1 + 4/N, where a relative residual would
+    measure the grid error against zero."""
     params = branch.params
     N, p = params.N, params.p
     out = np.empty(len(branch.points))
@@ -85,7 +89,7 @@ def boundary_flux_check(branch: Branch) -> np.ndarray:
         bracket = (-p + 1.0 + 4.0 / N) \
             - (4.0 * params.omega / N) * pt.ur1 * d.vr1
         rhs = (p + 1.0) / (2.0 * (p - 1.0)) * bracket
-        out[k] = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-3)
+        out[k] = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
     return out
 
 
@@ -136,21 +140,21 @@ def derivative_identities(branch: Branch) -> IdentityReport:
 
 
 def linearized_spectrum(point: BranchPoint, l_max: int = 3) -> SpectrumReport:
-    """Lowest eigenvalues of the linearized operator per harmonic sector.
+    """Negative counts and the eigenvalues bordering zero of the
+    linearized operator per harmonic sector.
 
     L_l = -d_rr - (N-1)/r d_r + l(l+N-2)/r^2 + lambda - p mu u^{p-1},
     Dirichlet at r = 1 and regularity at 0 (even symmetry for l = 0, a
     Dirichlet center condition for l >= 1, matching the r^l behavior).
-    Each sector keeps its lowest `N_STORED_EIGENVALUES` eigenvalues, found
-    by bisection; the negative count and min |eigenvalue| come from them
-    and are exact while fewer are negative.  A sector whose stored
-    eigenvalues are all negative, with more left uncomputed, raises
-    `SolverError`.
+    Each sector's negative count is its exact inertia, however many
+    eigenvalues are negative; the min |eigenvalue| is the nearer of the
+    largest negative and the lowest nonnegative eigenvalue.  Both come from
+    bisection (LAPACK `?stebz`) and no other eigenvalue is computed.
     """
     if l_max < 1:
         raise ParameterError("l_max must be >= 1")
-    eigs, counts, gaps = zip(*(_lowest_eigenvalues(*sector)
-                               for sector in _sector_matrices(point, l_max)))
+    eigs, counts, gaps = zip(*(_bordering_eigenvalues(d, e)
+                               for _, d, e in _sector_matrices(point, l_max)))
     return SpectrumReport(
         l_values=tuple(range(l_max + 1)),
         eigenvalues=eigs,
@@ -181,23 +185,36 @@ def _sector_matrices(point: BranchPoint, l_max: int):
                    lower[1:] * np.sqrt(vol[2:] / vol[1:-1]))
 
 
-def _lowest_eigenvalues(ell: int, d: np.ndarray, e: np.ndarray):
-    """The lowest min(N_STORED_EIGENVALUES, len(d)) eigenvalues of the
-    symmetric tridiagonal (d, e), ascending, with their negative count and
+def _bordering_eigenvalues(d: np.ndarray, e: np.ndarray):
+    """The negative eigenvalues and the lowest nonnegative one of the
+    symmetric tridiagonal (d, e), ascending, with the negative count and
     min |eigenvalue|.
 
-    The min |eigenvalue| is the last negative or the first nonnegative
-    eigenvalue, so both figures are exact unless every computed value is
-    negative and the sector has more.
+    One bisection by value over (Gershgorin lower bound, 0] finds the
+    negative eigenvalues, skipped when that bound is >= 0 (LAPACK rejects
+    an empty interval); one by index finds the next eigenvalue, absent
+    when all are negative.
     """
-    k = min(N_STORED_EIGENVALUES, len(d))
-    ew = eigh_tridiagonal(d, e, eigvals_only=True, select="i",
-                          select_range=(0, k - 1))
-    neg = int(np.count_nonzero(ew < 0.0))
-    if neg == k and len(d) > k:
-        raise SolverError(
-            "linearized sector has more negative eigenvalues than are computed",
-            l=ell, k=k, size=len(d),
-        )
-    # a copy, so that the report does not keep LAPACK's length-n buffer
-    return ew.copy(), neg, float(np.min(np.abs(ew)))
+    off = np.abs(e)
+    low = float(np.min(d - np.append(off, 0.0) - np.append(0.0, off)))
+    if not np.isfinite(low):
+        raise SolverError("linearized sector is not finite", size=len(d))
+    ew = np.empty(0)
+    if low < 0.0:
+        # (vl, vu] is half open, so vl = 2 low keeps the bound inside
+        w = _stebz(d, e, 1, 2.0 * low, 0.0, 0)
+        ew = w[w < 0.0]
+    neg = len(ew)
+    if neg < len(d):
+        ew = np.append(ew, _stebz(d, e, 2, 0.0, 0.0, neg + 1))
+    return ew, neg, float(np.min(np.abs(ew)))
+
+
+def _stebz(d, e, select, vl, vu, k):
+    """Eigenvalues of (d, e) by LAPACK bisection, ascending: those in
+    (vl, vu] for select = 1, the k-th lowest (1-based) for select = 2."""
+    m, w, _, _, info = dstebz(d, e, select, vl, vu, k, k, 0.0, "E")
+    if info != 0:
+        raise SolverError("tridiagonal bisection failed", info=info,
+                          size=len(d))
+    return w[:m]

@@ -163,6 +163,16 @@ class TestVerifyCommand:
         assert doc["pass"] is False
         assert "pohozaev" in doc["failures"]
 
+    def test_boundary_flux_failure_named(self, tmp_path):
+        cfg = write_cfg(tmp_path / "c.cfg", N=1, p=3.0, lambda_min=0.0,
+                        lambda_max=8.0, num_points=15, n_nodes=1025,
+                        spectrum_points=2, pairing_tol=1e-15)
+        out = tmp_path / "v.json"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+        doc = json.loads(out.read_text())
+        assert doc["max_boundary_flux_res"] > 1e-15
+        assert "boundary-flux" in doc["failures"]
+
     def test_equal_alpha_neighbors_exit_1(self, tmp_path, capsys,
                                           monkeypatch, branch_13):
         # alpha_lam = 0 at the middle point: a typed SolverError, exit 1

@@ -21,11 +21,7 @@ from nlsball import (
     trace,
 )
 from nlsball.errors import ParameterError, SolverError
-from nlsball.verify import (
-    N_STORED_EIGENVALUES,
-    _lowest_eigenvalues,
-    _sector_matrices,
-)
+from nlsball.verify import _bordering_eigenvalues, _sector_matrices
 
 P13 = ProblemParams(N=1, p=3.0)
 P15 = ProblemParams(N=1, p=5.0)
@@ -181,50 +177,89 @@ def _inf_norm(d, e):
 
 
 class TestSelectedSpectrum:
-    """The lowest-k eigenvalues against the full tridiagonal spectrum."""
+    """The negative count and the eigenvalues bordering zero against the
+    full tridiagonal spectrum."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(17, 200),
-           neg=st.integers(0, 15), t=st.floats(0.05, 0.95))
-    def test_matches_full_spectrum(self, seed, n, neg, t):
+           t=st.floats(0.05, 0.95), data=st.data())
+    def test_matches_full_spectrum(self, seed, n, t, data):
+        neg = data.draw(st.integers(0, n), label="neg")
         rng = np.random.default_rng(seed)
         d = rng.normal(size=n)
         e = rng.normal(size=n - 1)
         w = _full_spectrum(d, e)
         below = w[neg - 1] if neg else w[0] - 1.0
+        above = w[neg] if neg < n else w[-1] + 1.0
         # a clear gap at zero keeps the count well defined under roundoff;
         # t < 1/2 puts the last negative eigenvalue nearest to zero
-        assume(w[neg] - below > 1e-6 * _inf_norm(d, e))
-        d = d - (below + t * (w[neg] - below))
+        assume(above - below > 1e-6 * _inf_norm(d, e))
+        d = d - (below + t * (above - below))
         full = _full_spectrum(d, e)
         tol = 64.0 * np.finfo(float).eps * _inf_norm(d, e)
-        ew, count, gap = _lowest_eigenvalues(0, d, e)
+        ew, count, gap = _bordering_eigenvalues(d, e)
         assert count == int(np.count_nonzero(full < 0.0)) == neg
-        assert len(ew) == N_STORED_EIGENVALUES
-        np.testing.assert_allclose(ew, full[:N_STORED_EIGENVALUES],
-                                   rtol=0.0, atol=tol)
+        assert len(ew) == min(neg + 1, n)
+        np.testing.assert_allclose(ew, full[:neg + 1], rtol=0.0, atol=tol)
         assert abs(gap - float(np.min(np.abs(full)))) <= tol
 
-    def test_too_many_negative_raises(self, branch_13):
-        pt = replace(branch_13.points[5], lam=-1e7)
-        with pytest.raises(SolverError) as info:
-            linearized_spectrum(pt, l_max=1)
-        size = branch_13.points[5].profile.grid.n_nodes - 1
-        assert info.value.diagnostics == {
-            "l": 0, "k": N_STORED_EIGENVALUES, "size": size}
+    def test_no_bisection_below_nonnegative_gershgorin_bound(self):
+        # diagonally dominant: no eigenvalue below 1, so only the index
+        # search runs (LAPACK rejects an empty value interval)
+        d = np.linspace(3.0, 5.0, 20)
+        e = np.ones(19)
+        ew, count, gap = _bordering_eigenvalues(d, e)
+        full = _full_spectrum(d, e)
+        tol = 64.0 * np.finfo(float).eps * _inf_norm(d, e)
+        assert count == 0
+        np.testing.assert_allclose(ew, full[:1], rtol=0.0, atol=tol)
+        assert gap == ew[0]
+
+    def test_nonfinite_sector_raises(self):
+        d = np.array([1.0, np.nan, 1.0])
+        with pytest.raises(SolverError):
+            _bordering_eigenvalues(d, np.zeros(2))
+
+    def test_too_many_negative_counted(self):
+        # lam = -1e7 makes every eigenvalue negative, more than a lowest-16
+        # search could count; -2e3 leaves part of each sector negative
+        prof = solve_ball_profile(P13, 1.0, +1, ShootConfig(n_nodes=65))
+        base = normalize(prof, 1.0, +1, P13)
+        for lam in (-1e7, -2e3):
+            pt = replace(base, lam=lam)
+            sp = linearized_spectrum(pt, l_max=3)
+            sizes = _assert_matches_full_spectrum(sp, pt)
+            for count, size in zip(sp.negative_counts, sizes):
+                if lam == -1e7:
+                    assert count == size > 16
+                else:
+                    assert 0 < count < size
 
     def test_small_grid(self):
         # 16 nodes: the l = 0 sector has 15 unknowns, l >= 1 sectors 14
         prof = solve_ball_profile(P13, 1.0, +1, ShootConfig(n_nodes=16))
         pt = normalize(prof, 1.0, +1, P13)
         sp = linearized_spectrum(pt, l_max=3)
-        assert [len(ew) for ew in sp.eigenvalues] == [15, 14, 14, 14]
-        for ew, (_, d, e) in zip(sp.eigenvalues, _sector_matrices(pt, 3)):
-            full = _full_spectrum(d, e)
-            tol = 64.0 * np.finfo(float).eps * _inf_norm(d, e)
-            np.testing.assert_allclose(ew, full, rtol=0.0, atol=tol)
+        _assert_matches_full_spectrum(sp, pt)
+        assert [len(ew) for ew in sp.eigenvalues] == \
+            [count + 1 for count in sp.negative_counts]
         assert sp.negative_counts[0] == 1
         assert sp.total_negative == 1
+
+
+def _assert_matches_full_spectrum(sp, pt):
+    """Each sector's count and bordering eigenvalues against its full
+    spectrum; returns the sector sizes."""
+    sizes = []
+    sectors = _sector_matrices(pt, sp.l_values[-1])
+    for ew, count, (_, d, e) in zip(sp.eigenvalues, sp.negative_counts,
+                                    sectors):
+        full = _full_spectrum(d, e)
+        assert count == int(np.count_nonzero(full < 0.0))
+        tol = 64.0 * np.finfo(float).eps * _inf_norm(d, e)
+        np.testing.assert_allclose(ew, full[:count + 1], rtol=0.0, atol=tol)
+        sizes.append(len(d))
+    return sizes
 
 
 @pytest.fixture(scope="module")
