@@ -9,7 +9,10 @@ Three problems share one integrator:
   bracket HANDOFF_WIDTH wide, and the search ends with Brent on the
   boundary value u(1; a) where that is smooth, or keeps bisecting on
   trajectories that stop early where u(1; a) is a step in double
-  precision;
+  precision.  A solve without a prediction first runs that search at
+  RK4's own ODE_TOLERANCE step over [0, 1], wherever that step spans at
+  least COARSE_FACTOR grid steps; Newton on the grid-step u(1; a) then
+  polishes the root, and grid-step classifications check it;
 * the same equation with mu = -1 (defocusing), solved by the damped
   Newton `_newton` on the conservative discretization, which also polishes
   the standing waves of `evolve` -- center shooting is hopeless there
@@ -68,6 +71,12 @@ MAX_BISECTIONS = 200
 # relative bracket width at which classification bisection hands over to
 # Brent on u(R; a); a predicted center value starts from a bracket this wide
 HANDOFF_WIDTH = 1e-3
+# a cold center-value search runs at the ODE_TOLERANCE step first where
+# that step spans at least COARSE_FACTOR grid steps; each Newton step that
+# then polishes its root at the grid step is at most POLISH_CONTRACTION of
+# the one before
+COARSE_FACTOR = 4
+POLISH_CONTRACTION = 0.25
 # the damped Newton on the discrete profile equation (see `_newton`)
 NEWTON_TOLERANCE = 1e-12
 NEWTON_MAX_ITERATIONS = 100
@@ -186,33 +195,40 @@ def _classify(a, lam, mu, n_dim, p, R, n_cells, substeps):
     return ("small" if u_end > 0.0 else "big"), r_stop
 
 
-def _find_bracket(classify, seed, lam, mu, p):
-    """Center values (lo, hi) of the two trajectory classes.
+def _seeded_bracket(classify, seed):
+    """Center values (lo, hi) of the two trajectory classes around a
+    predicted `seed`, or None.
 
-    A predicted `seed` starts from seed (1 -+ HANDOFF_WIDTH / 2); an end
-    of the wrong class becomes the other end, and the missing end moves
-    8 times as far from the seed per try.  Past 50% the cold geometric
-    search takes over, as it does without a seed.
+    The bracket starts as seed (1 -+ HANDOFF_WIDTH / 2); an end of the
+    wrong class becomes the other end, and the missing end moves 8 times
+    as far from the seed per try, up to 50%.
     """
-    if seed is not None and seed > 0.0:
-        lo = hi = None
-        offset = 0.5 * HANDOFF_WIDTH
-        while offset <= 0.5:
-            if hi is None:
-                a = seed * (1.0 + offset)
-                if classify(a) == "big":
-                    hi = a
-                else:
-                    lo = a
-            if lo is None:
-                a = seed * (1.0 - offset)
-                if classify(a) == "small":
-                    lo = a
-                else:
-                    hi = a
-            if lo is not None and hi is not None:
-                return lo, hi
-            offset *= 8.0
+    if seed is None or not seed > 0.0:
+        return None
+    lo = hi = None
+    offset = 0.5 * HANDOFF_WIDTH
+    while offset <= 0.5:
+        if hi is None:
+            a = seed * (1.0 + offset)
+            if classify(a) == "big":
+                hi = a
+            else:
+                lo = a
+        if lo is None:
+            a = seed * (1.0 - offset)
+            if classify(a) == "small":
+                lo = a
+            else:
+                hi = a
+        if lo is not None and hi is not None:
+            return lo, hi
+        offset *= 8.0
+    return None
+
+
+def _cold_bracket(classify, lam, mu, p):
+    """Center values (lo, hi) of the two trajectory classes by a
+    geometric search from the scale (lam / |mu|)^{1/(p-1)}."""
     base = (max(lam, 0.0) / abs(mu)) ** (1.0 / (p - 1.0)) if lam > 0 else 0.0
     lo = hi = max(1.0, 1.5 * base)
     for _ in range(200):
@@ -230,10 +246,53 @@ def _find_bracket(classify, seed, lam, mu, p):
     raise BracketError("no rebound trajectory found", a_min=lo, lam=lam)
 
 
+def _boundary_value(a, lam, mu, n_dim, p, R, n_cells, substeps):
+    """u(R; a) of the event-free flow: the smooth shooting functional."""
+    return _integrate(a, lam, mu, n_dim, p, R, n_cells, substeps,
+                      record=False, terminal_events=False)[4]
+
+
+def _shooting_slope(a, lam, mu, n_dim, p, R, steps):
+    """d u(R; a) / da at `steps` RK4 steps over [0, R], by a central
+    difference over sqrt(eps) a."""
+    d = math.sqrt(np.finfo(float).eps) * a
+    up, down = (_boundary_value(b, lam, mu, n_dim, p, R, 1, steps)
+                for b in (a + d, a - d))
+    return (up - down) / (2.0 * d)
+
+
+def _polish_center(boundary_value, a, slope):
+    """Newton on the grid-step u(R; a) from a with a fixed `slope`.
+
+    It stops once a step is below BISECTION_TOLERANCE, or where a step is
+    more than POLISH_CONTRACTION of the one before (u(R; a) at its
+    roundoff floor, or beyond the range where it is linear in a); the
+    caller checks the root by classification.
+    """
+    last = a  # so all steps together move a by less than a third
+    while True:
+        step = boundary_value(a) / slope
+        if not abs(step) <= POLISH_CONTRACTION * last:
+            return a
+        a, last = a - step, abs(step)
+        if last <= BISECTION_TOLERANCE * a:
+            return a
+
+
 def _bisect_center(lam, mu, n_dim, p, R, n_cells, substeps, seed=None,
                    smooth_refine=True):
     """Locate the separatrix center value by classification bisection;
     returns (a, lo, hi) with lo 'small' and hi 'big'.
+
+    Without a seed, or where a seed brackets nothing, a smooth_refine
+    solve first runs this whole search at RK4's own ODE_TOLERANCE step
+    over [0, R], _substeps(R, lam) steps, wherever that step spans at
+    least COARSE_FACTOR grid steps (lam up to about 360 on 2048 cells).
+    That root carries the coarse step's error (about 1e-7 relative at
+    p = 3, lam = 2); Newton on the grid-step u(R; a), with the slope of
+    the coarse map, removes it (`_polish_center`), typically in three
+    integrations.  If the coarse search or the polish fails, the coarse
+    root seeds the search below, as a prediction would.
 
     With smooth_refine, the bracket is first narrowed to HANDOFF_WIDTH.
     A trajectory an offset d off the separatrix leaves it where
@@ -252,8 +311,35 @@ def _bisect_center(lam, mu, n_dim, p, R, n_cells, substeps, seed=None,
         kind, stops[a] = _classify(a, lam, mu, n_dim, p, R, n_cells, substeps)
         return kind
 
-    lo, hi = _find_bracket(classify, seed, lam, mu, p)
+    def boundary_value(a):
+        return _boundary_value(a, lam, mu, n_dim, p, R, n_cells, substeps)
+
     tol = BISECTION_TOLERANCE
+
+    def checked(root):
+        """(root, lo, hi) if root -+ pad classify as the bracket ends do."""
+        pad = 4.0 * max(tol * root, np.finfo(float).eps * root)
+        if classify(root - pad) == "small" and classify(root + pad) == "big":
+            return root, root - pad, root + pad
+        return None
+
+    bracket = _seeded_bracket(classify, seed)
+    coarse = _substeps(R, lam)
+    if (bracket is None and smooth_refine
+            and COARSE_FACTOR * coarse <= n_cells * substeps):
+        try:
+            # at one cell of `coarse` substeps this test fails: no recursion
+            a, _, _ = _bisect_center(lam, mu, n_dim, p, R, 1, coarse)
+        except (BracketError, PrecisionError):
+            pass
+        else:
+            slope = _shooting_slope(a, lam, mu, n_dim, p, R, coarse)
+            if slope < 0.0:
+                found = checked(_polish_center(boundary_value, a, slope))
+                if found is not None:
+                    return found
+            bracket = _seeded_bracket(classify, a)
+    lo, hi = bracket or _cold_bracket(classify, lam, mu, p)
     used = 0
     if smooth_refine:
         while hi - lo > HANDOFF_WIDTH * hi and used < MAX_BISECTIONS:
@@ -264,21 +350,15 @@ def _bisect_center(lam, mu, n_dim, p, R, n_cells, substeps, seed=None,
                 lo = mid
             used += 1
 
-        def boundary_value(a):
-            return _integrate(a, lam, mu, n_dim, p, R, n_cells, substeps,
-                              record=False, terminal_events=False)[4]
-
         reach = max(stops[lo], stops[hi]) * (math.log(tol)
                                              / math.log(HANDOFF_WIDTH))
         if reach >= R and hi - lo > tol * hi:
             g_lo, g_hi = boundary_value(lo), boundary_value(hi)
             if g_lo > 0.0 > g_hi:
-                root = brentq(boundary_value, lo, hi,
-                              xtol=tol * hi, rtol=max(4e-16, tol), maxiter=120)
-                pad = 4.0 * max(tol * root, np.finfo(float).eps * root)
-                if (classify(root - pad) == "small"
-                        and classify(root + pad) == "big"):
-                    return root, root - pad, root + pad
+                found = checked(brentq(boundary_value, lo, hi, xtol=tol * hi,
+                                       rtol=max(4e-16, tol), maxiter=120))
+                if found is not None:
+                    return found
     for _ in range(used, MAX_BISECTIONS):
         if hi - lo <= tol * hi:
             break

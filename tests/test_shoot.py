@@ -18,6 +18,7 @@ from scipy.integrate import quad
 from nlsball import (
     ProblemParams,
     ShootConfig,
+    dirichlet_lambda1_exact,
     discrete_residual,
     geometric_lambda_grid,
     make_grid,
@@ -130,9 +131,31 @@ class TestCenterShooting:
     know yet, and every root it returns is classified on both sides."""
 
     @staticmethod
-    def shooting_args(lam, n_cells):
-        return (lam, 1.0, 3, 3.0, 1.0, n_cells,
+    def shooting_args(lam, n_cells, n_dim=3):
+        return (lam, 1.0, n_dim, 3.0, 1.0, n_cells,
                 shoot._substeps(1.0 / n_cells, lam))
+
+    @staticmethod
+    def assert_classified(args, a, lo, hi):
+        assert lo < a < hi
+        # the Brent or Newton root's bracket is root -+ 4e-14 root, each
+        # end rounded
+        assert hi - lo <= 8e-14 * a + math.ulp(a)
+        assert shoot._classify(lo, *args)[0] == "small"
+        assert shoot._classify(hi, *args)[0] == "big"
+
+    @pytest.mark.parametrize("params, lam", [(P13, 2.0), (P33, 0.5)])
+    def test_cold_solve_budget(self, shooting_work, params, lam):
+        # the search at the grid step alone takes 23 grid-step integrations
+        # and 45,955 RK4 steps at N=1, lam=2, and 27 and 53,778 at N=3,
+        # lam=0.5; at the ODE_TOLERANCE step first, 6 (the profile's own
+        # integration included) and about 13,300
+        solve_ball_profile(params, lam, +1, ShootConfig(2049))
+        grid_steps = 2048 * shoot._substeps(1.0 / 2048, lam)
+        coarse = [n for n in shooting_work.step_counts if n != grid_steps]
+        assert coarse and max(coarse) * shoot.COARSE_FACTOR <= grid_steps
+        assert len(shooting_work.step_counts) - len(coarse) <= 6
+        assert shooting_work.steps < 20_000
 
     def test_warm_trace_step_budget(self, shooting_work, cfg_fast):
         # ten points over the Figure-1 window take 222,751 steps; seeding
@@ -156,18 +179,56 @@ class TestCenterShooting:
         cold = shoot._bisect_center(*args)
         assert shoot._bisect_center(*args, seed=factor * cold[0]) == cold
 
+    @pytest.mark.parametrize("factor", [10.0, 0.1])
+    @pytest.mark.parametrize("n_dim, lam", [(1, 2.0), (3, 20.0)])
+    def test_bad_seed_takes_the_coarse_search(self, shooting_work, n_dim,
+                                              lam, factor):
+        args = self.shooting_args(lam, 2048, n_dim)
+        cold = shoot._bisect_center(*args)
+        assert min(shooting_work.step_counts) < 2048
+        assert shoot._bisect_center(*args, seed=factor * cold[0]) == cold
+
     @settings(max_examples=12, deadline=None)
     @given(log_s=st.floats(-3.0, math.log10(3500.0 + math.pi**2),
                            exclude_max=True))
     def test_bracket_is_classified(self, log_s):
         lam = -math.pi**2 + 10.0**log_s
         args = self.shooting_args(lam, 1024)
-        a, lo, hi = shoot._bisect_center(*args)
-        assert lo < a < hi
-        # the Brent root's bracket is root -+ 4e-14 root, each end rounded
-        assert hi - lo <= 8e-14 * a + math.ulp(a)
-        assert shoot._classify(lo, *args)[0] == "small"
-        assert shoot._classify(hi, *args)[0] == "big"
+        self.assert_classified(args, *shoot._bisect_center(*args))
+
+    @settings(max_examples=12, deadline=None)
+    @given(n_dim=st.sampled_from([1, 3]), log_s=st.floats(-3.0, 2.5))
+    def test_polished_bracket_is_classified(self, n_dim, log_s):
+        # lam + lambda_1 <= 316 keeps the ODE_TOLERANCE step at least
+        # COARSE_FACTOR grid steps long on 2048 cells, so the search runs
+        # there first
+        lam = -dirichlet_lambda1_exact(n_dim) + 10.0**log_s
+        args = self.shooting_args(lam, 2048, n_dim)
+        self.assert_classified(args, *shoot._bisect_center(*args))
+
+    @pytest.mark.parametrize("slope", [lambda s: 1.0, lambda s: 1e6 * s],
+                             ids=["positive", "too-steep"])
+    def test_failed_polish_falls_back_to_seeded_search(self, monkeypatch,
+                                                       slope):
+        # a positive slope skips the polish; one 1e6 times too steep stops
+        # Newton next to the coarse root, which fails the classification
+        seeds = []
+        seeded_bracket = shoot._seeded_bracket
+        true_slope = shoot._shooting_slope
+
+        def recorded(classify, seed):
+            seeds.append(seed)
+            return seeded_bracket(classify, seed)
+
+        monkeypatch.setattr(shoot, "_shooting_slope",
+                            lambda *a: slope(true_slope(*a)))
+        monkeypatch.setattr(shoot, "_seeded_bracket", recorded)
+        args = self.shooting_args(2.0, 2048, n_dim=1)
+        self.assert_classified(args, *shoot._bisect_center(*args))
+        # the search and its coarse run start unseeded; the coarse root
+        # then seeds the fallback
+        assert seeds[:2] == [None, None] and len(seeds) == 3
+        assert seeds[2] > 0.0
 
     @pytest.mark.parametrize("lam", [240.0, 385.0])
     def test_boundary_slope_is_not_separatrix_noise(self, lam):
