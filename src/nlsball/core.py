@@ -13,6 +13,7 @@ equation.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -224,6 +225,10 @@ class RadialOperator:
         """
         d = self.diag + shift
         for name, values in (("shift", d), ("rhs", rhs)):
+            # a sum is finite only if every term is; the elementwise scan
+            # names the index and clears a finite sum that overflowed
+            if cmath.isfinite(values.sum()):
+                continue
             finite = np.isfinite(values)
             if not finite.all():
                 index = int(np.argmin(finite))

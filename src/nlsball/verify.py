@@ -150,13 +150,17 @@ def linearized_spectrum(point: BranchPoint, l_max: int = 3) -> SpectrumReport:
     eigenvalues are negative; the min |eigenvalue| is the nearer of the
     largest negative and the lowest nonnegative eigenvalue.  Both come from
     bisection (LAPACK `?stebz`) and no other eigenvalue is computed.
+
+    For N = 1 the sphere S^0 has only the even (l = 0) and odd (l = 1)
+    sectors, so l is capped at 1 whatever `l_max` asks for.
     """
     if l_max < 1:
         raise ParameterError("l_max must be >= 1")
-    eigs, counts, gaps = zip(*(_bordering_eigenvalues(d, e)
-                               for _, d, e in _sector_matrices(point, l_max)))
+    ells, eigs, counts, gaps = zip(*(
+        (ell, *_bordering_eigenvalues(d, e))
+        for ell, d, e in _sector_matrices(point, l_max)))
     return SpectrumReport(
-        l_values=tuple(range(l_max + 1)),
+        l_values=ells,
         eigenvalues=eigs,
         negative_counts=counts,
         min_abs_eigenvalue=min(gaps),
@@ -165,8 +169,9 @@ def linearized_spectrum(point: BranchPoint, l_max: int = 3) -> SpectrumReport:
 
 
 def _sector_matrices(point: BranchPoint, l_max: int):
-    """(l, diagonal, off-diagonal) of each sector's operator, symmetrized
-    by the cell volumes; l >= 1 drops the center node."""
+    """(l, diagonal, off-diagonal) of each sector's operator up to l_max
+    (at most l = 1 for N = 1), symmetrized by the cell volumes; l >= 1
+    drops the center node."""
     params = point.params
     N, p = params.N, params.p
     grid = point.profile.grid
@@ -176,7 +181,7 @@ def _sector_matrices(point: BranchPoint, l_max: int):
     u = point.profile.values[:m]
     potential = point.lam - p * point.mu * np.abs(u) ** (p - 1.0)
     r = grid.nodes[:m]
-    for ell in range(l_max + 1):
+    for ell in range((min(l_max, 1) if N == 1 else l_max) + 1):
         if ell == 0:
             yield ell, diag + potential, lower * np.sqrt(vol[1:] / vol[:-1])
         else:

@@ -9,6 +9,7 @@ import pytest
 from nlsball import (
     ProblemParams,
     ShootConfig,
+    core,
     geometric_lambda_grid,
     shoot,
     solve_whole_space,
@@ -92,4 +93,26 @@ def shooting_work(monkeypatch):
         return out
 
     monkeypatch.setattr(shoot, "_integrate", counted)
+    return work
+
+
+@pytest.fixture
+def operator_work(monkeypatch):
+    """Counts the operator work done while a test runs: `solves` (calls of
+    `RadialOperator.solve`) and `applies` (calls of
+    `RadialOperator.apply`)."""
+    work = SimpleNamespace(solves=0, applies=0)
+    solve = core.RadialOperator.solve
+    apply = core.RadialOperator.apply
+
+    def counted_solve(self, shift, rhs):
+        work.solves += 1
+        return solve(self, shift, rhs)
+
+    def counted_apply(self, y):
+        work.applies += 1
+        return apply(self, y)
+
+    monkeypatch.setattr(core.RadialOperator, "solve", counted_solve)
+    monkeypatch.setattr(core.RadialOperator, "apply", counted_apply)
     return work

@@ -174,12 +174,28 @@ class TestRadialOperator:
         m = len(op.diag)
         shift = np.ones(m, dtype)
         rhs = np.ones(m, dtype)
-        {"shift": shift, "rhs": rhs}[array][index] = bad
+        named = {"shift": shift, "rhs": rhs}
+        named[array][index] = bad
         with pytest.raises(SolverError) as exc:
             op.solve(shift, rhs)
         diag = exc.value.diagnostics
         assert diag["array"] == array and diag["index"] == index
         assert not cmath.isfinite(diag["value"])
+        # the screen sums each input: finite entries whose sum overflows
+        # are no reason to refuse the solve (a dominant shift keeps the
+        # elimination itself from overflowing)
+        shift[:] = 1e6
+        rhs[:] = 1.0
+        named[array][:] = 1.5e307
+        ab = np.zeros((3, m), dtype)
+        ab[0, 1:] = op.upper
+        ab[1, :] = op.diag + shift
+        ab[2, :-1] = op.lower
+        with np.errstate(over="ignore"):
+            assert not cmath.isfinite(named[array].sum())
+            got = op.solve(shift, rhs)
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got, solve_banded((1, 1), ab, rhs))
 
     @pytest.mark.parametrize("N", [1, 3])
     @pytest.mark.parametrize("dtype", [float, complex])

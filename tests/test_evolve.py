@@ -79,7 +79,11 @@ class TestEvolve:
     @pytest.mark.parametrize("dt", [1e-3, -2.5e-4])
     def test_matches_reference_steps(self, params, dt):
         # the relaxation scheme written out with a banded solve; three
-        # steps, so the potential update after a solve is covered too
+        # steps, so the potential update after a solve is covered too.
+        # The sum psi = Phi^{n+1} + Phi^n form is the stepper's own
+        # arithmetic; the algebraic form
+        #   (A - V - 2i/dt) Phi^{n+1} = (V - 2i/dt) Phi^n - A Phi^n
+        # is the same scheme and agrees to roundoff.
         grid = make_grid(params, 257, 1.0)
         op = grid.operator
         rng = np.random.default_rng(7)
@@ -87,23 +91,53 @@ class TestEvolve:
         values[-1] = 0.0
         rec = evolve(ComplexField(grid, values, 0.0), params, dt, 3 * abs(dt),
                      sample_every=1)
-        y = values[:-1]
-        pot = np.abs(y) ** (params.p - 1.0)
-        ab = np.zeros((3, len(y)), complex)
+        ab = np.zeros((3, len(values) - 1), complex)
         ab[0, 1:] = op.upper
         ab[2, :-1] = op.lower
+        y = z = values[:-1]
+        pot = pot_z = np.abs(y) ** (params.p - 1.0)
         for _ in range(3):
             pot = 2.0 * np.abs(y) ** (params.p - 1.0) - pot
             ab[1, :] = op.diag - pot - 2j / dt
-            y = solve_banded((1, 1), ab, (pot - 2j / dt) * y - op.apply(y))
+            y = solve_banded((1, 1), ab, (-4j / dt) * y) - y
+            pot_z = 2.0 * np.abs(z) ** (params.p - 1.0) - pot_z
+            ab[1, :] = op.diag - pot_z - 2j / dt
+            z = solve_banded((1, 1), ab, (pot_z - 2j / dt) * z - op.apply(z))
         assert rec.end_reason == "completed"
         assert np.array_equal(rec.final.values[:-1], y)
+        assert np.max(np.abs(y - z)) <= 1e-14 * np.max(np.abs(z))
+
+    def test_one_solve_per_step(self, standing_wave, operator_work):
+        # sampling every step, the orbit distance included, adds no
+        # operator work
+        field = ComplexField(standing_wave.grid,
+                             standing_wave.values.astype(complex), 0.0)
+        rec = evolve(field, P13, 1e-3, 0.025, sample_every=1,
+                     reference=standing_wave)
+        assert len(rec.times) == 26
+        assert (operator_work.solves, operator_work.applies) == (25, 0)
 
     def test_boundary_enforced(self, standing_wave):
         bad = standing_wave.values.astype(complex).copy()
         bad[-1] = 0.3
         with pytest.raises(ParameterError):
             ComplexField(standing_wave.grid, bad, 0.0)
+
+    @pytest.mark.parametrize("interior,boundary,ok", [
+        (0.5, math.nan, False),    # NaN at the boundary node
+        (math.nan, 0.3, False),    # a NaN interior must not void the check
+        (math.nan, 0.0, True),     # a nonfinite record still builds
+    ])
+    def test_boundary_check_nan_safe(self, standing_wave, interior,
+                                     boundary, ok):
+        vals = standing_wave.values.astype(complex)
+        vals[7] = interior
+        vals[-1] = boundary
+        if ok:
+            ComplexField(standing_wave.grid, vals, 0.0)
+        else:
+            with pytest.raises(ParameterError):
+                ComplexField(standing_wave.grid, vals, 0.0)
 
     def test_conservation(self, standing_wave):
         field = ComplexField(standing_wave.grid,
@@ -177,6 +211,20 @@ class TestEvolve:
         assert rec.end_reason == "nonfinite"
         assert rec.blowup_time == 0.0
         assert np.array_equal(rec.final.values, field.values)
+
+    def test_rhs_overflow_ends_as_nonfinite(self):
+        # p = 1.5 keeps V = |Phi|^{1/2} finite while the step's right-hand
+        # side -(4i/dt) Phi overflows; the run must still end typed
+        params = ProblemParams(N=1, p=1.5)
+        grid = make_grid(params, 65, 1.0)
+        vals = np.zeros(65, complex)
+        vals[:-1] = 1e306
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(BlowUpError) as exc:
+            evolve(ComplexField(grid, vals, 0.0), params, 1e-3, 1.0,
+                   blowup_cap=float("inf"))
+        assert exc.value.record.end_reason == "nonfinite"
+        assert exc.value.record.blowup_time == 0.0
 
     @settings(max_examples=30, deadline=None)
     @given(N=st.sampled_from([1, 2, 3]),

@@ -166,6 +166,15 @@ class TestSpectrum:
         with pytest.raises(ParameterError):
             linearized_spectrum(branch_13.points[0], 0)
 
+    def test_n1_has_two_sectors(self, branch_13, branch_33):
+        # S^0 carries only the even and the odd sector; l_max > 1 is
+        # accepted and capped
+        sp = linearized_spectrum(branch_13.points[5], l_max=3)
+        assert sp.l_values == (0, 1)
+        assert len(sp.negative_counts) == len(sp.eigenvalues) == 2
+        assert linearized_spectrum(branch_33.points[5], 3).l_values == \
+            (0, 1, 2, 3)
+
 
 def _full_spectrum(d, e):
     return eigh_tridiagonal(d, e, eigvals_only=True)
