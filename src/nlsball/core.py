@@ -23,7 +23,6 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 from scipy.special import jv
-from scipy.optimize import brentq
 
 from .errors import ParameterError, SolverError
 
@@ -53,7 +52,9 @@ def dirichlet_lambda1_exact(n_dim: int) -> float:
     """First Dirichlet eigenvalue of -Laplace on the unit ball.
 
     Equals the squared first positive zero of the Bessel function J_nu with
-    nu = N/2 - 1 (radial eigenfunction r^{-nu} J_nu(sqrt(lambda) r)).
+    nu = N/2 - 1 (radial eigenfunction r^{-nu} J_nu(sqrt(lambda) r)),
+    located by a scan in steps of 0.1 and bisection on the sign of J_nu
+    down to adjacent floats.
     """
     nu = n_dim / 2.0 - 1.0
     x = max(abs(nu), 0.5)
@@ -67,7 +68,13 @@ def dirichlet_lambda1_exact(n_dim: int) -> float:
     for _ in range(10000):
         t_next = t + step
         if f(t_next) * fx < 0.0:
-            root = brentq(f, t, t_next, xtol=1e-14, rtol=1e-15)
+            lo, hi = t, t_next
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                if f(mid) * fx < 0.0:
+                    hi = mid
+                else:
+                    lo = mid
+            root = lo if abs(f(lo)) <= abs(f(hi)) else hi
             return root * root
         t = t_next
     raise SolverError("no Bessel zero located", order=nu)

@@ -6,13 +6,13 @@ Three problems share one integrator:
       -u'' - (N-1)/r u' + lam u = mu u^p,  u'(0) = 0, u(1) = 0,
   solved for mu = +1 by classification bisection on the center value
   a = u(0) (`_bisect_center`): a predicted center value starts from a
-  bracket HANDOFF_WIDTH wide, and the search ends with Brent on the
-  boundary value u(1; a) where that is smooth, or keeps bisecting on
-  trajectories that stop early where u(1; a) is a step in double
-  precision.  A solve without a prediction first runs that search at
-  RK4's own ODE_TOLERANCE step over [0, 1], wherever that step spans at
-  least COARSE_FACTOR grid steps; Newton on the grid-step u(1; a) then
-  polishes the root, and grid-step classifications check it;
+  bracket HANDOFF_WIDTH wide, and the search ends with Newton on the
+  boundary value u(1; a) from the bracket's secant root where that is
+  smooth, or keeps bisecting on trajectories that stop early where
+  u(1; a) is a step in double precision.  Every solve first runs that
+  search at RK4's own ODE_TOLERANCE step over [0, 1], wherever that step
+  spans at least COARSE_FACTOR grid steps; Newton on the grid-step
+  u(1; a) then polishes the root, and grid-step classifications check it;
 * the same equation with mu = -1 (defocusing), solved by the damped
   Newton `_newton` on the conservative discretization, which also polishes
   the standing waves of `evolve` -- center shooting is hopeless there
@@ -38,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ive, kve
 
 from .core import (
@@ -69,12 +68,12 @@ ODE_TOLERANCE = 1e-10
 BISECTION_TOLERANCE = 1e-14
 MAX_BISECTIONS = 200
 # relative bracket width at which classification bisection hands over to
-# Brent on u(R; a); a predicted center value starts from a bracket this wide
+# Newton on u(R; a); a predicted center value starts from a bracket this wide
 HANDOFF_WIDTH = 1e-3
-# a cold center-value search runs at the ODE_TOLERANCE step first where
-# that step spans at least COARSE_FACTOR grid steps; each Newton step that
-# then polishes its root at the grid step is at most POLISH_CONTRACTION of
-# the one before
+# a center-value search runs at the ODE_TOLERANCE step first where
+# that step spans at least COARSE_FACTOR grid steps; each Newton step on
+# u(R; a) that polishes a root is at most POLISH_CONTRACTION of the one
+# before
 COARSE_FACTOR = 4
 POLISH_CONTRACTION = 0.25
 # the damped Newton on the discrete profile equation (see `_newton`)
@@ -262,7 +261,8 @@ def _shooting_slope(a, lam, mu, n_dim, p, R, steps):
 
 
 def _polish_center(boundary_value, a, slope):
-    """Newton on the grid-step u(R; a) from a with a fixed `slope`.
+    """Newton on `boundary_value`, u(R; a) at the caller's step, from a
+    with a fixed `slope`.
 
     It stops once a step is below BISECTION_TOLERANCE, or where a step is
     more than POLISH_CONTRACTION of the one before (u(R; a) at its
@@ -284,15 +284,15 @@ def _bisect_center(lam, mu, n_dim, p, R, n_cells, substeps, seed=None,
     """Locate the separatrix center value by classification bisection;
     returns (a, lo, hi) with lo 'small' and hi 'big'.
 
-    Without a seed, or where a seed brackets nothing, a smooth_refine
-    solve first runs this whole search at RK4's own ODE_TOLERANCE step
-    over [0, R], _substeps(R, lam) steps, wherever that step spans at
-    least COARSE_FACTOR grid steps (lam up to about 360 on 2048 cells).
-    That root carries the coarse step's error (about 1e-7 relative at
-    p = 3, lam = 2); Newton on the grid-step u(R; a), with the slope of
-    the coarse map, removes it (`_polish_center`), typically in three
-    integrations.  If the coarse search or the polish fails, the coarse
-    root seeds the search below, as a prediction would.
+    A smooth_refine solve first runs this whole search, from the same
+    seed, at RK4's own ODE_TOLERANCE step over [0, R], _substeps(R, lam)
+    steps, wherever that step spans at least COARSE_FACTOR grid steps
+    (lam up to about 360 on 2048 cells).  That root carries the coarse
+    step's error (about 1e-7 relative at p = 3, lam = 2); Newton on the
+    grid-step u(R; a), with the slope of the coarse map, removes it
+    (`_polish_center`), typically in three integrations.  If the coarse
+    search or the polish fails, the coarse root seeds the search below,
+    as a prediction would.
 
     With smooth_refine, the bracket is first narrowed to HANDOFF_WIDTH.
     A trajectory an offset d off the separatrix leaves it where
@@ -301,7 +301,8 @@ def _bisect_center(lam, mu, n_dim, p, R, n_cells, substeps, seed=None,
     ln(BISECTION_TOLERANCE) / ln(HANDOFF_WIDTH), still fall short of R,
     every classification down to BISECTION_TOLERANCE stops early and
     u(R; a) is a step in double precision: bisection finishes.  Otherwise
-    a Brent solve on the event-free boundary value u(R; a) finishes; the
+    `_polish_center` on the event-free boundary value u(R; a) finishes,
+    from the secant root of the bracket ends with the secant slope; the
     root is verified against the classification dichotomy and bisection
     takes over whenever the verification fails.
     """
@@ -323,13 +324,11 @@ def _bisect_center(lam, mu, n_dim, p, R, n_cells, substeps, seed=None,
             return root, root - pad, root + pad
         return None
 
-    bracket = _seeded_bracket(classify, seed)
     coarse = _substeps(R, lam)
-    if (bracket is None and smooth_refine
-            and COARSE_FACTOR * coarse <= n_cells * substeps):
+    if smooth_refine and COARSE_FACTOR * coarse <= n_cells * substeps:
         try:
             # at one cell of `coarse` substeps this test fails: no recursion
-            a, _, _ = _bisect_center(lam, mu, n_dim, p, R, 1, coarse)
+            a, _, _ = _bisect_center(lam, mu, n_dim, p, R, 1, coarse, seed)
         except (BracketError, PrecisionError):
             pass
         else:
@@ -338,8 +337,9 @@ def _bisect_center(lam, mu, n_dim, p, R, n_cells, substeps, seed=None,
                 found = checked(_polish_center(boundary_value, a, slope))
                 if found is not None:
                     return found
-            bracket = _seeded_bracket(classify, a)
-    lo, hi = bracket or _cold_bracket(classify, lam, mu, p)
+            seed = a
+    lo, hi = (_seeded_bracket(classify, seed)
+              or _cold_bracket(classify, lam, mu, p))
     used = 0
     if smooth_refine:
         while hi - lo > HANDOFF_WIDTH * hi and used < MAX_BISECTIONS:
@@ -355,8 +355,9 @@ def _bisect_center(lam, mu, n_dim, p, R, n_cells, substeps, seed=None,
         if reach >= R and hi - lo > tol * hi:
             g_lo, g_hi = boundary_value(lo), boundary_value(hi)
             if g_lo > 0.0 > g_hi:
-                found = checked(brentq(boundary_value, lo, hi, xtol=tol * hi,
-                                       rtol=max(4e-16, tol), maxiter=120))
+                slope = (g_hi - g_lo) / (hi - lo)
+                found = checked(_polish_center(boundary_value,
+                                               lo - g_lo / slope, slope))
                 if found is not None:
                     return found
     for _ in range(used, MAX_BISECTIONS):

@@ -3,15 +3,19 @@
 import cmath
 import gc
 import math
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
-from scipy.special import jn_zeros
 
+import nlsball
 from nlsball import (
     ProblemParams,
     Regime,
@@ -284,7 +288,7 @@ class TestGradNorm:
 class TestEigenpair:
     ORACLES = {
         1: math.pi**2 / 4,
-        2: jn_zeros(0, 1)[0] ** 2,
+        2: 2.404825557695773**2,  # j_{0,1}^2
         3: math.pi**2,
     }
 
@@ -297,7 +301,7 @@ class TestEigenpair:
 
     @pytest.mark.parametrize("N", [1, 2, 3])
     def test_exact_helper_matches_bessel(self, N):
-        assert dirichlet_lambda1_exact(N) == pytest.approx(self.ORACLES[N], rel=1e-12)
+        assert dirichlet_lambda1_exact(N) == pytest.approx(self.ORACLES[N], rel=1e-15)
 
     def test_normalization_and_positivity(self):
         params = ProblemParams(3, 3.0)
@@ -338,3 +342,13 @@ class TestEigenpair:
         ]
         d1, d2 = abs(vals[1] - vals[0]), abs(vals[2] - vals[1])
         assert d2 < d1 / 3.2  # observed order ~2 (ratio 4)
+
+
+def test_import_leaves_out_scipy_optimize():
+    # scipy.optimize alone adds about 13 MB to a process's peak RSS
+    env = dict(os.environ, PYTHONPATH=str(Path(nlsball.__file__).parents[1]))
+    code = ("import sys, nlsball, nlsball.cli; "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

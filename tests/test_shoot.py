@@ -23,6 +23,7 @@ from nlsball import (
     geometric_lambda_grid,
     make_grid,
     normalize,
+    point_at_alpha,
     rescaled_profile,
     solve_ball_profile,
     solve_whole_space,
@@ -138,8 +139,7 @@ class TestCenterShooting:
     @staticmethod
     def assert_classified(args, a, lo, hi):
         assert lo < a < hi
-        # the Brent or Newton root's bracket is root -+ 4e-14 root, each
-        # end rounded
+        # the Newton root's bracket is root -+ 4e-14 root, each end rounded
         assert hi - lo <= 8e-14 * a + math.ulp(a)
         assert shoot._classify(lo, *args)[0] == "small"
         assert shoot._classify(hi, *args)[0] == "big"
@@ -158,12 +158,21 @@ class TestCenterShooting:
         assert shooting_work.steps < 20_000
 
     def test_warm_trace_step_budget(self, shooting_work, cfg_fast):
-        # ten points over the Figure-1 window take 222,751 steps; seeding
-        # each solve with the last center value +-3% and finishing every
-        # solve with Brent took 301,891
+        # ten points over the Figure-1 window take 146,011 steps; with the
+        # grid-step search and Brent for every seeded solve they took
+        # 170,778
         lams = geometric_lambda_grid(P33, -math.pi**2 + 0.4, 3500.0, 10)
         assert not trace(P33, lams, +1, cfg_fast).failures
-        assert shooting_work.steps < 240_000
+        assert shooting_work.steps < 153_000
+
+    def test_endpoint_point_at_alpha_budget(self, shooting_work):
+        # the two alpha-prescribed S+ solves of the endpoint expansion take
+        # 115,074 steps; with the grid-step search and Brent for every
+        # seeded solve they took 283,932
+        lam1 = dirichlet_lambda1_exact(1)
+        for eps in (1e-3, 2.5e-4):
+            point_at_alpha(P13, lam1 + eps, +1, ShootConfig(2049))
+        assert shooting_work.steps < 150_000
 
     def test_large_lambda_skips_brent(self, shooting_work):
         # u(1; a) is a step in double precision at lam = 3000, so no
@@ -206,6 +215,23 @@ class TestCenterShooting:
         args = self.shooting_args(lam, 2048, n_dim)
         self.assert_classified(args, *shoot._bisect_center(*args))
 
+    @settings(max_examples=12, deadline=None)
+    @given(n_dim=st.sampled_from([1, 3]), log_s=st.floats(-3.0, 2.5),
+           offset=st.floats(-0.3, 0.3))
+    def test_warm_polish_matches_cold_root(self, n_dim, log_s, offset):
+        # a seeded solve takes the same coarse search and polish as a cold
+        # one, from the seeded bracket.  Near lam = -lambda_1, u(1; a) moves
+        # with a only through a^{p-1} ~ s = lam + lambda_1, so its roundoff
+        # pins a down to about eps / s relative; any two solves there,
+        # warm or cold, differ by up to 8e-12 at s = 1e-3
+        s = 10.0**log_s
+        lam = -dirichlet_lambda1_exact(n_dim) + s
+        args = self.shooting_args(lam, 2048, n_dim)
+        cold = shoot._bisect_center(*args)[0]
+        a, lo, hi = shoot._bisect_center(*args, seed=cold * (1.0 + offset))
+        self.assert_classified(args, a, lo, hi)
+        assert abs(a - cold) <= max(8e-14, 5e-14 / s) * cold
+
     @pytest.mark.parametrize("slope", [lambda s: 1.0, lambda s: 1e6 * s],
                              ids=["positive", "too-steep"])
     def test_failed_polish_falls_back_to_seeded_search(self, monkeypatch,
@@ -225,10 +251,10 @@ class TestCenterShooting:
         monkeypatch.setattr(shoot, "_seeded_bracket", recorded)
         args = self.shooting_args(2.0, 2048, n_dim=1)
         self.assert_classified(args, *shoot._bisect_center(*args))
-        # the search and its coarse run start unseeded; the coarse root
-        # then seeds the fallback
-        assert seeds[:2] == [None, None] and len(seeds) == 3
-        assert seeds[2] > 0.0
+        # the coarse run gets the caller's seed, none here; the coarse
+        # root then seeds the grid-step fallback
+        assert seeds[0] is None and len(seeds) == 2
+        assert seeds[1] > 0.0
 
     @pytest.mark.parametrize("lam", [240.0, 385.0])
     def test_boundary_slope_is_not_separatrix_noise(self, lam):
