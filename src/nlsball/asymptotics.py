@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .branch import BranchPoint
 from .core import EigenPair, ProblemParams, RadialProfile
@@ -63,9 +61,16 @@ def solve_psi(params: ProblemParams, eig: EigenPair) -> APExpansion:
     """Solve the constrained linearized equation at the branch endpoint.
 
     -Delta psi - lambda_1 psi = phi_1^p - c phi_1 with int psi phi_1 = 0,
-    as a bordered linear system: the singular operator is augmented with
-    the constraint row and a multiplier column, the standard regularization
-    of a solvable rank-one-deficient problem.
+    as the bordered system (A - lambda_1) psi + c w = rhs, w . psi = 0
+    with w = vol phi_1, solved by block elimination.  A - lambda_1 is
+    singular up to the eigenvalue's error (phi_1 spans its kernel), but
+    T = A - lambda_1 + g e_0 e_0^T with g = A_00 is regular because
+    phi_1(0) != 0.  One tridiagonal solve with three right-hand sides
+    gives z = T^{-1} (rhs, e_0, w), so psi = z_rhs + g psi_0 z_e0 - c z_w;
+    the conditions that psi_0 is psi's own center value and w . psi = 0
+    leave a 2x2 system for (psi_0, c).  One step of iterative refinement
+    (one more tridiagonal solve) brings the residual down to the rounding
+    floor of evaluating it.
     """
     grid = eig.phi1.grid
     op = grid.operator
@@ -76,35 +81,42 @@ def solve_psi(params: ProblemParams, eig: EigenPair) -> APExpansion:
     # solvability constant in the operator's own inner product
     c_solv = float((vol * phi**p) @ phi) / float((vol * phi) @ phi)
     rhs = phi**p - c_solv * phi
+    w = vol * phi
 
-    A = scipy.sparse.diags(
-        [op.lower, op.diag - eig.lambda1, op.upper], offsets=[-1, 0, 1],
-        format="csc",
-    )
-    w = (vol * phi).reshape(-1, 1)
-    bordered = scipy.sparse.bmat(
-        [[A, scipy.sparse.csc_matrix(w)],
-         [scipy.sparse.csc_matrix(w.T), None]],
-        format="csc",
-    )
-    b = np.concatenate([rhs, [0.0]])
-    lu = scipy.sparse.linalg.splu(bordered.tocsc())
-    sol = lu.solve(b)
+    g = float(op.diag[0])
+    shift = np.full(m, -eig.lambda1)
+    shift[0] += g
+    e0 = np.zeros(m)
+    e0[0] = 1.0
+    z_rhs, z_e0, z_w = op.solve(shift, np.column_stack([rhs, e0, w])).T
+    small = np.array([[1.0 - g * z_e0[0], z_w[0]],
+                      [g * float(w @ z_e0), -float(w @ z_w)]])
+
+    def eliminate(z_f, s):
+        # (psi, c) with (A - lambda_1) psi + c w = f and w . psi = s,
+        # given z_f = T^{-1} f
+        psi0, c = np.linalg.solve(small, [z_f[0], s - float(w @ z_f)])
+        return z_f + (g * psi0) * z_e0 - c * z_w, c
+
+    def residual(sol, c):
+        return (rhs - op.apply(sol) + eig.lambda1 * sol - c * w,
+                -float(w @ sol))
+
+    sol, c = eliminate(z_rhs, 0.0)
     if not np.all(np.isfinite(sol)):
         raise SolverError("bordered endpoint system is numerically singular",
                           n_nodes=grid.n_nodes)
+    res, res_w = residual(sol, c)
+    d_sol, d_c = eliminate(op.solve(shift, res), res_w)
+    sol, c = sol + d_sol, c + d_c
+    res, res_w = residual(sol, c)
+    err = max(float(np.max(np.abs(res))), abs(res_w))
     scale = max(1.0, float(np.max(np.abs(rhs))))
-    for _ in range(3):  # iterative refinement against the O(cond*eps) floor
-        res = bordered @ sol - b
-        if np.max(np.abs(res)) <= 1e-10 * scale:
-            break
-        sol = sol - lu.solve(res)
-    res = bordered @ sol - b
-    if np.max(np.abs(res)) > 1e-8 * scale:
+    if not err <= 1e-8 * scale:
         raise SolverError("bordered endpoint solve lost accuracy",
-                          residual=float(np.max(np.abs(res))))
+                          residual=err)
     psi_vals = np.zeros(grid.n_nodes)
-    psi_vals[:m] = sol[:m]
+    psi_vals[:m] = sol
     psi = RadialProfile(grid, psi_vals, op.boundary_slope(psi_vals))
     c_ps = grid.integrate(eig.phi1.values**p * psi_vals)
     # report the constant the discrete equation actually carries; it agrees

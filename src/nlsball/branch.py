@@ -132,10 +132,6 @@ class Branch:
             vr1=v.boundary_derivative,
         )
 
-    @cached_property
-    def derivative_estimates(self) -> tuple[BranchDerivative, ...]:
-        return tuple(self.derivative(i) for i in range(len(self.points)))
-
 
 def normalize(profile: RadialProfile, lam: float, mu_sign: int,
               params: ProblemParams) -> BranchPoint:

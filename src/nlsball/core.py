@@ -223,12 +223,15 @@ class RadialOperator:
 
     def solve(self, shift, rhs: np.ndarray) -> np.ndarray:
         """x with (A + diag(shift)) x = rhs; `shift` is a scalar or one
-        value per unknown, real or complex.
+        value per unknown, real or complex.  rhs is one value per unknown,
+        or a 2-D array with one column per right-hand side, which are all
+        solved in the same call and each bit for bit as if alone.
 
         One LAPACK ?gtsv call (partial pivoting) on the stored bands; the
         routine follows the dtype of the shifted diagonal and of rhs.
-        Raises SolverError when the shifted diagonal or rhs is not finite,
-        or when the system is singular.
+        Raises SolverError when the shifted diagonal or rhs is not finite
+        (`index` names the unknown, `value` the first bad entry), or when
+        the system is singular.
         """
         d = self.diag + shift
         for name, values in (("shift", d), ("rhs", rhs)):
@@ -238,10 +241,11 @@ class RadialOperator:
                 continue
             finite = np.isfinite(values)
             if not finite.all():
-                index = int(np.argmin(finite))
+                flat = int(np.argmin(finite))  # row-major over columns
                 raise SolverError(f"tridiagonal solve: {name} not finite",
-                                  array=name, index=index,
-                                  value=values[index].item())
+                                  array=name,
+                                  index=flat // (values.size // len(values)),
+                                  value=values.flat[flat].item())
         gtsv, = get_lapack_funcs(("gtsv",), (d, rhs))
         # d is ours to overwrite; the bands and rhs are copied by the wrapper
         _, _, _, x, info = gtsv(self.lower, d, self.upper, rhs,

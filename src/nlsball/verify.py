@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dstebz
 
-from .branch import Branch, BranchPoint
+from .branch import Branch, BranchDerivative, BranchPoint
 from .errors import ParameterError, SolverError
 
 
@@ -80,22 +80,25 @@ def boundary_flux_check(branch: Branch) -> np.ndarray:
     mu' identity is: mu' changes sign on supercritical branches and is
     small throughout at p = 1 + 4/N, where a relative residual would
     measure the grid error against zero."""
-    params = branch.params
+    return np.array([_flux_residual(pt, branch.derivative(k))
+                     for k, pt in enumerate(branch.points)])
+
+
+def _flux_residual(pt: BranchPoint, d: BranchDerivative) -> float:
+    """One point's `boundary_flux_check` residual."""
+    params = pt.params
     N, p = params.N, params.p
-    out = np.empty(len(branch.points))
-    for k, (pt, d) in enumerate(zip(branch.points,
-                                    branch.derivative_estimates)):
-        lhs = d.mu_prime * pt.M_alpha
-        bracket = (-p + 1.0 + 4.0 / N) \
-            - (4.0 * params.omega / N) * pt.ur1 * d.vr1
-        rhs = (p + 1.0) / (2.0 * (p - 1.0)) * bracket
-        out[k] = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
-    return out
+    lhs = d.mu_prime * pt.M_alpha
+    bracket = (-p + 1.0 + 4.0 / N) \
+        - (4.0 * params.omega / N) * pt.ur1 * d.vr1
+    rhs = (p + 1.0) / (2.0 * (p - 1.0)) * bracket
+    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
 
 
 def derivative_identities(branch: Branch) -> IdentityReport:
-    """All identity residuals along a branch, derivatives from
-    `Branch.derivative_estimates`."""
+    """All identity residuals along a branch, from one pass over the
+    points: each `Branch.derivative` is taken once and dropped before the
+    next, so only one derivative profile is alive at a time."""
     n = len(branch.points)
     if n == 0:
         raise ParameterError("the identity suite needs a nonempty branch")
@@ -107,8 +110,9 @@ def derivative_identities(branch: Branch) -> IdentityReport:
     Mp = np.empty(n)
     lam_primes = np.empty(n)
     mu_primes = np.empty(n)
-    for k, (pt, d) in enumerate(zip(branch.points,
-                                    branch.derivative_estimates)):
+    flux = np.empty(n)
+    for k, pt in enumerate(branch.points):
+        d = branch.derivative(k)
         grid = pt.profile.grid
         u = pt.profile.values
         v = d.v.values
@@ -124,6 +128,7 @@ def derivative_identities(branch: Branch) -> IdentityReport:
         Mp[k] = abs(d.M_prime - target) / abs(target)
         lam_primes[k] = d.lambda_prime
         mu_primes[k] = d.mu_prime
+        flux[k] = _flux_residual(pt, d)
     return IdentityReport(
         alphas=branch.alphas,
         pohozaev_res=np.array([pohozaev_residual(pt) for pt in branch.points]),
@@ -133,7 +138,7 @@ def derivative_identities(branch: Branch) -> IdentityReport:
         nonlinear_pairing_res=nlp,
         mu_prime_identity_res=mup,
         M_prime_res=Mp,
-        boundary_flux_res=boundary_flux_check(branch),
+        boundary_flux_res=flux,
         lambda_primes=lam_primes,
         mu_primes=mu_primes,
     )

@@ -67,6 +67,67 @@ class TestSolvePsi:
         assert ap.c_ps > 0.0 and quad_form > 0.0
         assert abs(ap.c_ps / quad_form - 1.0) < 1e-5
 
+    def test_closed_form_order(self):
+        # N=1, p=3: phi_1 = cos(pi r/2) and phi^3 - (3/4) phi = cos(3 pi r/2)/4,
+        # so psi = cos(3 pi r/2)/(8 pi^2), c_ps = 1/(32 pi^2) and
+        # psi_r(1) = 3/(16 pi); every error falls x4 per halving up to
+        # n = 4097 (the floor is near 3e-10 past n = 8193)
+        errs = []
+        for n in (1025, 2049, 4097):
+            grid = make_grid(P13, n, 1.0)
+            ap = solve_psi(P13, principal_eigenpair(P13, grid))
+            exact = np.cos(1.5 * np.pi * grid.nodes) / (8.0 * np.pi**2)
+            errs.append((np.max(np.abs(ap.psi.values - exact)),
+                         abs(ap.c_ps - 1.0 / (32.0 * np.pi**2)),
+                         abs(ap.psi.boundary_derivative - 3.0 / (16.0 * np.pi))))
+        errs = np.array(errs)
+        assert np.all(errs[0] < [3e-8, 7e-9, 1.3e-8])
+        assert np.all(errs[:-1] / errs[1:] >= 3.5)
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    @pytest.mark.parametrize("n", [257, 258])
+    def test_matches_dense_bordered_solve(self, N, n):
+        # the elimination against LU on the dense (m+1)x(m+1) system
+        # [[A - lambda_1, w], [w^T, 0]] (psi, c) = (rhs, 0), w = vol phi_1
+        params = ProblemParams(N, 3.0)
+        grid = make_grid(params, n, 1.0)
+        eig = principal_eigenpair(params, grid)
+        ap = solve_psi(params, eig)
+        op = grid.operator
+        m = len(op.diag)
+        phi = eig.phi1.values[:m]
+        w = op.vol * phi
+        rhs = phi**3 - ap.c_p1 * phi
+        bordered = np.zeros((m + 1, m + 1))
+        bordered[:m, :m] = (np.diag(op.diag - eig.lambda1)
+                            + np.diag(op.upper, 1) + np.diag(op.lower, -1))
+        bordered[:m, m] = w
+        bordered[m, :m] = w
+        dense = np.linalg.solve(bordered, np.append(rhs, 0.0))
+        psi = ap.psi.values[:m]
+        assert ap.psi.values[m] == 0.0
+        assert np.max(np.abs(psi - dense[:m])) <= 1e-11 * np.max(np.abs(psi))
+        assert abs(w @ psi) <= 1e-15 * np.max(np.abs(psi))
+        # the bordered residual with the dense multiplier, under the gate
+        res = op.apply(psi) - eig.lambda1 * psi + dense[m] * w - rhs
+        scale = max(1.0, np.max(np.abs(rhs)))
+        assert np.max(np.abs(res)) <= 1e-8 * scale
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_fine_grid_within_gate(self, N):
+        # at n = 16385 the elimination alone leaves bordered residuals of
+        # 4e-8 (N=2) and 9e-8 (N=3), above the 1e-8 gate; its refinement
+        # step brings them to the rounding floor, about 7e-9
+        params = ProblemParams(N, 3.0)
+        grid = make_grid(params, 16385, 1.0)
+        ap = solve_psi(params, principal_eigenpair(params, grid))
+        op = grid.operator
+        m = len(op.vol)
+        psi = ap.psi.values[:m]
+        w = op.vol * ap.eig.phi1.values[:m]
+        assert abs(w @ psi) <= 1e-15 * np.max(np.abs(psi))
+        assert ap.c_ps > 0.0
+
 
 class TestAPPredict:
     def test_base_point_limit(self, expansion_13):

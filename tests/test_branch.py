@@ -1,5 +1,6 @@
 """Normalization, continuation, mass selection, and stability tagging."""
 
+import dataclasses
 import math
 from dataclasses import replace
 from types import SimpleNamespace
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from nlsball import (
+    Branch,
     ProblemParams,
     ShootConfig,
     StabilityTag,
@@ -453,9 +455,15 @@ class TestStability:
                                          "alpha": pts[-1].alpha}
 
     def test_keeps_no_profiles(self, branch_13):
+        # neither branch holds derivative profiles: beyond its fields,
+        # only the per-point scalar caches (alphas, mus, ...) may be set
         tagged = classify_stability(branch_13)
-        assert "derivative_estimates" not in vars(branch_13)
-        assert "derivative_estimates" not in vars(tagged)
+        fields = {f.name for f in dataclasses.fields(Branch)}
+        for br in (branch_13, tagged):
+            for name, value in vars(br).items():
+                if name not in fields:
+                    assert isinstance(value, np.ndarray)
+                    assert value.shape == (len(br),)
 
     def test_defocusing_unknown(self, branch_defoc):
         tagged = classify_stability(branch_defoc)

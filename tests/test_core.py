@@ -169,6 +169,33 @@ class TestRadialOperator:
         assert np.array_equal(op.lower, bands[0])
         assert np.array_equal(op.upper, bands[1])
 
+    @pytest.mark.parametrize("N", [1, 3])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_columns_solve_as_if_alone(self, N, dtype):
+        # several right-hand sides in one ?gtsv call: each column bit for
+        # bit the solve of that column alone
+        op = make_grid(ProblemParams(N, 3.0), 257, 1.0).operator
+        m = len(op.diag)
+        rng = np.random.default_rng(N)
+        shift = -rng.uniform(0.0, 50.0, m)
+        if dtype is complex:
+            shift = shift - 2j / 1e-3
+        cols = rng.normal(size=(m, 3)).astype(dtype)
+        cols[0, 1] = 1e30  # a column far out of scale with the others
+        got = op.solve(shift, cols)
+        assert got.shape == (m, 3) and got.dtype == np.result_type(shift, cols)
+        for j in range(3):
+            assert np.array_equal(got[:, j], op.solve(shift, cols[:, j].copy()))
+
+    def test_nonfinite_column_names_its_unknown(self):
+        op = make_grid(ProblemParams(3, 3.0), 16, 1.0).operator
+        rhs = np.ones((len(op.diag), 3))
+        rhs[9, 2] = math.inf
+        with pytest.raises(SolverError) as exc:
+            op.solve(1.0, rhs)
+        assert exc.value.diagnostics == {"array": "rhs", "index": 9,
+                                         "value": math.inf}
+
     @pytest.mark.parametrize("array,index", [("shift", 0), ("shift", 7),
                                              ("rhs", 14)])
     @pytest.mark.parametrize("bad", [math.nan, -math.inf])
@@ -344,11 +371,13 @@ class TestEigenpair:
         assert d2 < d1 / 3.2  # observed order ~2 (ratio 4)
 
 
-def test_import_leaves_out_scipy_optimize():
-    # scipy.optimize alone adds about 13 MB to a process's peak RSS
+@pytest.mark.parametrize("module", ["scipy.optimize", "scipy.sparse"])
+def test_import_leaves_out(module):
+    # scipy.optimize alone adds about 13 MB to a process's peak RSS, and
+    # scipy.sparse about 3.5 MB; the package uses neither
     env = dict(os.environ, PYTHONPATH=str(Path(nlsball.__file__).parents[1]))
     code = ("import sys, nlsball, nlsball.cli; "
-            "print('scipy.optimize' in sys.modules)")
+            f"print({module!r} in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"

@@ -1,5 +1,6 @@
 """Identity residuals and linearized spectra along branches."""
 
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from nlsball import (
     solve_ball_profile,
     trace,
 )
+from nlsball.branch import Branch
 from nlsball.errors import ParameterError, SolverError
 from nlsball.verify import _bordering_eigenvalues, _sector_matrices
 
@@ -99,6 +101,27 @@ class TestDerivativeIdentities:
         assert np.max(rep.nonlinear_pairing_res) < 1e-3
         with pytest.raises(ParameterError):
             derivative_identities(replace(br, points=()))
+
+    def test_one_derivative_alive_at_a_time(self, identity_branch,
+                                            monkeypatch):
+        # each point's derivative is taken once, and the previous point's
+        # profile is gone by the time the next one is computed
+        taken, alive = [], []
+        derivative = Branch.derivative
+
+        def tracked(self, i):
+            alive.append(sum(ref() is not None for ref in taken))
+            d = derivative(self, i)
+            taken.append(weakref.ref(d.v))
+            return d
+
+        monkeypatch.setattr(Branch, "derivative", tracked)
+        rep = derivative_identities(identity_branch)
+        assert len(taken) == len(identity_branch)
+        assert max(alive) <= 1
+        monkeypatch.undo()
+        assert np.array_equal(rep.boundary_flux_res,
+                              boundary_flux_check(identity_branch))
 
 
 class TestBoundaryFlux:
