@@ -585,22 +585,26 @@ def classify_stability(branch: Branch) -> Branch:
 
     mu' = mu_lam / alpha_lam comes from `Branch.derivative` at every
     point, endpoints included, and only that scalar is kept: neither
-    branch caches the derivative profiles.  stable where mu' > tol,
-    unstable where mu' < -tol, boundary inside the band |mu'| <= tol with
-    tol = 1e-3 max|mu'|.  The sign criterion addresses S+ only, so
-    defocusing branches come back tagged unknown.
+    branch caches the derivative profiles.  Each point's error bar is the
+    discrepancy between its two forms of mu', tol = |mu' M - (lam' -
+    (p-1)/2)| / M (the identity `verify` checks): stable where mu' > tol,
+    unstable where mu' < -tol, boundary inside the band |mu'| <= tol.
+    The sign criterion addresses S+ only, so defocusing branches come back
+    tagged unknown.
     """
     if branch.sign < 0:
         return branch
     if not branch.points:
         raise ParameterError("cannot classify the stability of an empty branch")
-    mu_primes = [branch.derivative(i).mu_prime for i in range(len(branch))]
-    tol = 1e-3 * np.max(np.abs(mu_primes))
+    half_pm1 = 0.5 * (branch.params.p - 1.0)
     tags = []
-    for d in mu_primes:
-        if d > tol:
+    for i, pt in enumerate(branch.points):
+        d = branch.derivative(i)
+        tol = abs(d.mu_prime * pt.M_alpha
+                  - (d.lambda_prime - half_pm1)) / pt.M_alpha
+        if d.mu_prime > tol:
             tags.append(StabilityTag.STABLE)
-        elif d < -tol:
+        elif d.mu_prime < -tol:
             tags.append(StabilityTag.UNSTABLE)
         else:
             tags.append(StabilityTag.BOUNDARY)

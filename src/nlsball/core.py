@@ -288,8 +288,27 @@ class RadialProfile:
         self.values.setflags(write=False)
 
     def derivative_values(self) -> np.ndarray:
-        """Nodal du/dr by second-order finite differences."""
-        return np.gradient(self.values, self.grid.nodes, edge_order=2)
+        """Nodal du/dr by fourth-order finite differences.
+
+        The central stencil (8(u_{i+1} - u_{i-1}) - (u_{i+2} - u_{i-2}))
+        / (12 h) runs on the even extension u(-r) = u(r), so u'(0) = 0;
+        the last two nodes take the one-sided fourth-order stencils.
+        Every stencil is written in differences, so a constant gives
+        exactly 0.
+        """
+        u = self.values
+        h = self.grid.radius / (len(u) - 1)
+        ext = np.concatenate((u[2:0:-1], u))  # u_{-2}, u_{-1}, u_0, ...
+        du = np.empty(len(u))
+        du[:-2] = 8.0 * (ext[3:-1] - ext[1:-3]) - (ext[4:] - ext[:-4])
+        # u_{n-2}: 3 u_{+1} + 10 u_0 - 18 u_{-1} + 6 u_{-2} - u_{-3}
+        du[-2] = (3.0 * (u[-1] - u[-2]) + 18.0 * (u[-2] - u[-3])
+                  - 6.0 * (u[-2] - u[-4]) + (u[-2] - u[-5]))
+        # u_{n-1}: 25 u_0 - 48 u_{-1} + 36 u_{-2} - 16 u_{-3} + 3 u_{-4}
+        du[-1] = (48.0 * (u[-1] - u[-2]) - 36.0 * (u[-1] - u[-3])
+                  + 16.0 * (u[-1] - u[-4]) - 3.0 * (u[-1] - u[-5]))
+        du /= 12.0 * h
+        return du
 
     def l2_norm_sq(self) -> float:
         return self.grid.integrate(self.values**2)

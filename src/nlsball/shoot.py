@@ -1,25 +1,24 @@
-"""Shooting solvers for the radial profile equations.
+"""Solvers for the radial profile equation on the unit ball,
+      -u'' - (N-1)/r u' + lam u = mu u^p,  u'(0) = 0, u(1) = 0:
 
-Three problems share one integrator:
-
-* the positive Dirichlet profile on the unit ball,
-      -u'' - (N-1)/r u' + lam u = mu u^p,  u'(0) = 0, u(1) = 0,
-  solved for mu = +1 by classification bisection on the center value
-  a = u(0) (`_bisect_center`): a predicted center value starts from a
-  bracket HANDOFF_WIDTH wide, and the search ends with Newton on the
-  boundary value u(1; a) from the bracket's secant root where that is
+* mu = +1 (focusing) by shooting: classification bisection on the center
+  value a = u(0) (`_bisect_center`).  A predicted center value starts
+  from a bracket HANDOFF_WIDTH wide, and the search ends with Newton on
+  the boundary value u(1; a) from the bracket's secant root where that is
   smooth, or keeps bisecting on trajectories that stop early where
   u(1; a) is a step in double precision.  Every solve first runs that
   search at RK4's own ODE_TOLERANCE step over [0, 1], wherever that step
   spans at least COARSE_FACTOR grid steps; Newton on the grid-step
   u(1; a) then polishes the root, and grid-step classifications check it;
-* the same equation with mu = -1 (defocusing), solved by the damped
-  Newton `_newton` on the conservative discretization, which also polishes
-  the standing waves of `evolve` -- center shooting is hopeless there
-  because separatrix perturbations grow like exp(sqrt((p-1)|lam|) r),
-  which exceeds double precision long before |lam| reaches the asymptotic
-  regime;
-* the whole-space decaying ground state of -Z'' - (N-1)/r Z' + Z = Z^p.
+* mu = -1 (defocusing) by the damped Newton `_newton` on the conservative
+  discretization, which also polishes the standing waves of `evolve` --
+  center shooting is hopeless there because separatrix perturbations grow
+  like exp(sqrt((p-1)|lam|) r), which exceeds double precision long before
+  |lam| reaches the asymptotic regime.
+
+The whole-space ground state of -Delta Z + Z = Z^p is the focusing
+solution at lam = R_max^2, rescaled onto the ball of radius R_max
+(`solve_whole_space`).
 
 Trajectories integrate with classical RK4 at a lambda-scaled step landing
 exactly on the output grid nodes, started off r = 0 with the even series
@@ -28,8 +27,7 @@ below what bisection can resolve in double precision (center values only
 pin the trajectory down to relative eps, amplified by exp(sqrt(lam) r))
 before the boundary, the tail, and with it u_r(1), is replaced by the
 matched decaying solution of the linearized equation: a Bessel I/K
-combination vanishing at r = 1 on the ball, and c r^{-(N-1)/2} e^{-r} on
-the whole space.
+combination vanishing at r = 1.
 """
 
 from __future__ import annotations
@@ -45,6 +43,7 @@ from .core import (
     RadialGrid,
     RadialProfile,
     dirichlet_lambda1_exact,
+    grad_norm_sq,
     make_grid,
     principal_eigenpair,
 )
@@ -114,10 +113,10 @@ def _integrate(a, lam, mu, n_dim, p, R, n_cells, substeps, record,
                terminal_events=True):
     """Fixed-step RK4 over [0, R] with events.
 
-    Returns (status, r_stop, u_nodes, v_nodes, u_end, v_end); the node
-    arrays are None unless `record`.  In record mode a zero crossing only
-    counts as an event once u < -1e-12 a, so benign boundary roundoff does
-    not truncate the profile; classification mode uses the sharp dichotomy.
+    Returns (status, r_stop, u_nodes, u_end, v_end); u_nodes is None
+    unless `record`.  In record mode a zero crossing only counts as an
+    event once u < -1e-12 a, so benign boundary roundoff does not truncate
+    the profile; classification mode uses the sharp dichotomy.
     With terminal_events=False the flow runs to R regardless (the odd
     extension u |u|^{p-1} keeps it bounded), exposing the smooth shooting
     functional a -> u(R).
@@ -130,12 +129,10 @@ def _integrate(a, lam, mu, n_dim, p, R, n_cells, substeps, record,
     h = R / (n_cells * substeps)
     cross_floor = -1e-12 * a if record else 0.0
 
-    u_nodes = v_nodes = None
+    u_nodes = None
     if record:
         u_nodes = np.full(n_cells + 1, np.nan)
-        v_nodes = np.full(n_cells + 1, np.nan)
         u_nodes[0] = a
-        v_nodes[0] = 0.0
 
     c2 = (lam * a - mu * a * abs(a) ** pm1) / (2.0 * n_dim)
     c4 = (lam - mu * p * abs(a) ** pm1) * c2 / (4.0 * (n_dim + 2.0))
@@ -148,16 +145,14 @@ def _integrate(a, lam, mu, n_dim, p, R, n_cells, substeps, record,
     while True:
         if terminal_events:
             if u <= cross_floor:
-                return CROSSED, r, u_nodes, v_nodes, u, v
+                return CROSSED, r, u_nodes, u, v
             if v >= 0.0 and lam * u > mu * u * abs(u) ** pm1:
                 # slope event only where the flow cannot turn back down
-                return REBOUND, r, u_nodes, v_nodes, u, v
+                return REBOUND, r, u_nodes, u, v
         if record and step % substeps == 0:
-            idx = step // substeps
-            u_nodes[idx] = u
-            v_nodes[idx] = v
+            u_nodes[step // substeps] = u
         if step >= total:
-            return REACHED_END, r, u_nodes, v_nodes, u, v
+            return REACHED_END, r, u_nodes, u, v
         # classical RK4 step
         k1u = v
         k1v = lam * u - mu * u * abs(u) ** pm1 - Nm1 * v / r
@@ -184,7 +179,7 @@ def _integrate(a, lam, mu, n_dim, p, R, n_cells, substeps, record,
 def _classify(a, lam, mu, n_dim, p, R, n_cells, substeps):
     """('big' if the trajectory crosses zero before R, else 'small', and
     the radius where the trajectory stopped)."""
-    status, r_stop, _, _, u_end, _ = _integrate(
+    status, r_stop, _, u_end, _ = _integrate(
         a, lam, mu, n_dim, p, R, n_cells, substeps, record=False
     )
     if status == CROSSED:
@@ -248,7 +243,7 @@ def _cold_bracket(classify, lam, mu, p):
 def _boundary_value(a, lam, mu, n_dim, p, R, n_cells, substeps):
     """u(R; a) of the event-free flow: the smooth shooting functional."""
     return _integrate(a, lam, mu, n_dim, p, R, n_cells, substeps,
-                      record=False, terminal_events=False)[4]
+                      record=False, terminal_events=False)[3]
 
 
 def _shooting_slope(a, lam, mu, n_dim, p, R, steps):
@@ -279,23 +274,21 @@ def _polish_center(boundary_value, a, slope):
             return a
 
 
-def _bisect_center(lam, mu, n_dim, p, R, n_cells, substeps, seed=None,
-                   smooth_refine=True):
+def _bisect_center(lam, mu, n_dim, p, R, n_cells, substeps, seed=None):
     """Locate the separatrix center value by classification bisection;
     returns (a, lo, hi) with lo 'small' and hi 'big'.
 
-    A smooth_refine solve first runs this whole search, from the same
-    seed, at RK4's own ODE_TOLERANCE step over [0, R], _substeps(R, lam)
-    steps, wherever that step spans at least COARSE_FACTOR grid steps
-    (lam up to about 360 on 2048 cells).  That root carries the coarse
-    step's error (about 1e-7 relative at p = 3, lam = 2); Newton on the
-    grid-step u(R; a), with the slope of the coarse map, removes it
-    (`_polish_center`), typically in three integrations.  If the coarse
-    search or the polish fails, the coarse root seeds the search below,
-    as a prediction would.
+    A solve first runs this whole search, from the same seed, at RK4's
+    own ODE_TOLERANCE step over [0, R], _substeps(R, lam) steps, wherever
+    that step spans at least COARSE_FACTOR grid steps (lam up to about
+    360 on 2048 cells).  That root carries the coarse step's error (about
+    1e-7 relative at p = 3, lam = 2); Newton on the grid-step u(R; a),
+    with the slope of the coarse map, removes it (`_polish_center`),
+    typically in three integrations.  If the coarse search or the polish
+    fails, the coarse root seeds the search below, as a prediction would.
 
-    With smooth_refine, the bracket is first narrowed to HANDOFF_WIDTH.
-    A trajectory an offset d off the separatrix leaves it where
+    The bracket is first narrowed to HANDOFF_WIDTH.  A trajectory an
+    offset d off the separatrix leaves it where
     d exp(sqrt(lam) r) grows to order one, so its stop radius grows like
     ln(1/d).  If the bracket ends' stop radii, scaled by
     ln(BISECTION_TOLERANCE) / ln(HANDOFF_WIDTH), still fall short of R,
@@ -325,7 +318,7 @@ def _bisect_center(lam, mu, n_dim, p, R, n_cells, substeps, seed=None,
         return None
 
     coarse = _substeps(R, lam)
-    if smooth_refine and COARSE_FACTOR * coarse <= n_cells * substeps:
+    if COARSE_FACTOR * coarse <= n_cells * substeps:
         try:
             # at one cell of `coarse` substeps this test fails: no recursion
             a, _, _ = _bisect_center(lam, mu, n_dim, p, R, 1, coarse, seed)
@@ -341,25 +334,24 @@ def _bisect_center(lam, mu, n_dim, p, R, n_cells, substeps, seed=None,
     lo, hi = (_seeded_bracket(classify, seed)
               or _cold_bracket(classify, lam, mu, p))
     used = 0
-    if smooth_refine:
-        while hi - lo > HANDOFF_WIDTH * hi and used < MAX_BISECTIONS:
-            mid = 0.5 * (lo + hi)
-            if classify(mid) == "big":
-                hi = mid
-            else:
-                lo = mid
-            used += 1
+    while hi - lo > HANDOFF_WIDTH * hi and used < MAX_BISECTIONS:
+        mid = 0.5 * (lo + hi)
+        if classify(mid) == "big":
+            hi = mid
+        else:
+            lo = mid
+        used += 1
 
-        reach = max(stops[lo], stops[hi]) * (math.log(tol)
-                                             / math.log(HANDOFF_WIDTH))
-        if reach >= R and hi - lo > tol * hi:
-            g_lo, g_hi = boundary_value(lo), boundary_value(hi)
-            if g_lo > 0.0 > g_hi:
-                slope = (g_hi - g_lo) / (hi - lo)
-                found = checked(_polish_center(boundary_value,
-                                               lo - g_lo / slope, slope))
-                if found is not None:
-                    return found
+    reach = max(stops[lo], stops[hi]) * (math.log(tol)
+                                         / math.log(HANDOFF_WIDTH))
+    if reach >= R and hi - lo > tol * hi:
+        g_lo, g_hi = boundary_value(lo), boundary_value(hi)
+        if g_lo > 0.0 > g_hi:
+            slope = (g_hi - g_lo) / (hi - lo)
+            found = checked(_polish_center(boundary_value,
+                                           lo - g_lo / slope, slope))
+            if found is not None:
+                return found
     for _ in range(used, MAX_BISECTIONS):
         if hi - lo <= tol * hi:
             break
@@ -431,7 +423,7 @@ def _focusing_profile(params, lam, grid, a):
     the nodes beyond hold noise, and so would u_r(1): the decaying
     linear solution is grafted on from the last trustworthy node.
     """
-    status, r_stop, values, _, _, v_end = _integrate(
+    status, r_stop, values, _, v_end = _integrate(
         a, lam, 1.0, params.N, params.p, grid.radius, grid.n_nodes - 1,
         _substeps(grid.spacing, lam), record=True
     )
@@ -580,38 +572,25 @@ def solve_ball_profile(params: ProblemParams, lam: float, mu_sign: int,
 
 def solve_whole_space(params: ProblemParams, R_max: float = 20.0,
                       config: ShootConfig | None = None) -> WholeSpaceGroundState:
-    """Decaying ground state of -Delta Z + Z = Z^p on R^N by shooting."""
+    """Decaying ground state Z of -Delta Z + Z = Z^p on R^N, truncated to
+    the ball of radius R_max with a Dirichlet wall.
+
+    The focusing ball solution at lam = R_max^2 rescales onto it
+    (`rescaled_profile` with mu = 1); the wall moves Z by about
+    exp(-2 R_max).  Mass and int Z^{p+1} are quadratures on the dilated
+    grid, and the gradient energy is `grad_norm_sq`.
+    """
     config = config or ShootConfig()
     if math.exp(-R_max) >= 1e-8:
         raise ParameterError(f"R_max = {R_max} too small for the decay floor")
-    grid = make_grid(params, config.n_nodes, R_max)
-    n_cells = grid.n_nodes - 1
-    substeps = _substeps(grid.spacing, 1.0)
-    p = params.p
-    # the flat-case homoclinic height is a lower bound for the center value
-    flat = ((p + 1.0) / 2.0) ** (1.0 / (p - 1.0))
-    a, _, _ = _bisect_center(
-        1.0, 1.0, params.N, p, R_max, n_cells, substeps, seed=flat,
-        smooth_refine=False,
-    )
-    _, _, u_nodes, v_nodes, _, _ = _integrate(
-        a, 1.0, 1.0, params.N, p, R_max, n_cells, substeps, record=True
-    )
-    values = u_nodes.copy()
-    dvalues = v_nodes.copy()
-    s = _tail_start_index(values, a) or len(values) - 2
-    r_s, u_s = grid.nodes[s], values[s]
-    c = u_s * r_s ** ((params.N - 1) / 2.0) * math.exp(r_s)
-    rt = grid.nodes[s + 1 :]
-    values[s + 1 :] = c * rt ** (-(params.N - 1) / 2.0) * np.exp(-rt)
-    dvalues[s + 1 :] = values[s + 1 :] * (-1.0 - (params.N - 1) / (2.0 * rt))
-    profile = RadialProfile(grid, values, float(dvalues[-1]))
-    mass = grid.integrate(values**2)
-    grad = grid.integrate(dvalues**2)
-    lp1 = grid.integrate(values ** (p + 1.0))
+    lam = R_max * R_max
+    Z = rescaled_profile(solve_ball_profile(params, lam, +1, config), lam,
+                         1.0, params)
     return WholeSpaceGroundState(
-        params=params, profile=profile, mass=mass, grad_energy=grad,
-        lp1_norm=lp1, center_value=a,
+        params=params, profile=Z, mass=Z.l2_norm_sq(),
+        grad_energy=grad_norm_sq(Z),
+        lp1_norm=Z.grid.integrate(Z.values ** (params.p + 1.0)),
+        center_value=float(Z.values[0]),
     )
 
 

@@ -21,7 +21,8 @@ from nlsball import (
     solve_psi,
     trace,
 )
-from nlsball.errors import DomainError, ParameterError
+from nlsball import core
+from nlsball.errors import DomainError, ParameterError, SolverError
 
 P13 = ProblemParams(N=1, p=3.0)
 P15 = ProblemParams(N=1, p=5.0)
@@ -114,12 +115,14 @@ class TestSolvePsi:
         assert np.max(np.abs(res)) <= 1e-8 * scale
 
     @pytest.mark.parametrize("N", [2, 3])
-    def test_fine_grid_within_gate(self, N):
+    @pytest.mark.parametrize("n", [16385, 32769])
+    def test_fine_grid_within_gate(self, N, n):
         # at n = 16385 the elimination alone leaves bordered residuals of
-        # 4e-8 (N=2) and 9e-8 (N=3), above the 1e-8 gate; its refinement
-        # step brings them to the rounding floor, about 7e-9
+        # 4e-8 (N=2) and 9e-8 (N=3); its refinement step brings them to
+        # the rounding floor of evaluating A psi, 7e-9 to 1.5e-8, which
+        # grows like 1/h^2 and which the gate adds to its 1e-8
         params = ProblemParams(N, 3.0)
-        grid = make_grid(params, 16385, 1.0)
+        grid = make_grid(params, n, 1.0)
         ap = solve_psi(params, principal_eigenpair(params, grid))
         op = grid.operator
         m = len(op.vol)
@@ -127,6 +130,21 @@ class TestSolvePsi:
         w = op.vol * ap.eig.phi1.values[:m]
         assert abs(w @ psi) <= 1e-15 * np.max(np.abs(psi))
         assert ap.c_ps > 0.0
+
+    @pytest.mark.parametrize("N", [1, 3])
+    def test_perturbed_solve_is_refused(self, N, monkeypatch):
+        # every tridiagonal solution 1e-6 off, the refinement's included:
+        # the residual stays far above the rounding floor, and the gate
+        # must refuse the result
+        params = ProblemParams(N, 3.0)
+        grid = make_grid(params, 16385, 1.0)
+        eig = principal_eigenpair(params, grid)
+        solve = core.RadialOperator.solve
+        monkeypatch.setattr(
+            core.RadialOperator, "solve",
+            lambda self, shift, rhs: solve(self, shift, rhs) * (1.0 + 1e-6))
+        with pytest.raises(SolverError, match="lost accuracy"):
+            solve_psi(params, eig)
 
 
 class TestAPPredict:

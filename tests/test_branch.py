@@ -440,10 +440,21 @@ class TestStability:
         for pt in tagged.points:
             if pt.alpha < 0.8 * alpha_star:
                 assert pt.stability is StabilityTag.STABLE
-            # far down the tail |mu'| ~ mu/(2 alpha) sinks into the
-            # tolerance band, so the hard assertion stays in a window
-            if 1.5 * alpha_star < pt.alpha < 10.0 * alpha_star:
+            if pt.alpha > 1.5 * alpha_star:
                 assert pt.stability is StabilityTag.UNSTABLE
+
+    def test_figure1_window_has_no_boundary(self, cfg_fine):
+        # the paper's Figure-1 window: each point's own error bar resolves
+        # the sign of mu' from the endpoint up to alpha ~ 1e4, and the
+        # tags switch once, at alpha*
+        lams = geometric_lambda_grid(P33, -math.pi**2 + 0.4, 3500.0, 80,
+                                     sign=+1)
+        tagged = classify_stability(trace(P33, lams, +1, cfg_fine))
+        _, alpha_star, _ = find_mu_star(tagged)
+        for pt in tagged.points:
+            assert pt.stability is (StabilityTag.STABLE
+                                    if pt.alpha < alpha_star
+                                    else StabilityTag.UNSTABLE)
 
     def test_equal_alpha_endpoint_raises(self, branch_13, monkeypatch):
         # mu' at the last point divides by its alpha_lam, stubbed to 0
