@@ -40,7 +40,6 @@ from scipy.special import ive, kve
 
 from .core import (
     ProblemParams,
-    RadialGrid,
     RadialProfile,
     dirichlet_lambda1_exact,
     grad_norm_sq,
@@ -410,10 +409,11 @@ def _ball_linear_tail(n_dim, lam, r_s, u_s, r_values):
 
 
 def _solve_ball_focusing(params, lam, grid, seed=None):
+    """The focusing profile at lam; `seed` is a predicted center value."""
     substeps = _substeps(grid.spacing, lam)
     a, _, _ = _bisect_center(lam, 1.0, params.N, params.p, grid.radius,
                              grid.n_nodes - 1, substeps, seed)
-    return _focusing_profile(params, lam, grid, a), a
+    return _focusing_profile(params, lam, grid, a)
 
 
 def _focusing_profile(params, lam, grid, a):
@@ -443,6 +443,13 @@ def _focusing_profile(params, lam, grid, a):
     values[-1] = 0.0
     np.clip(values, 0.0, None, out=values)
     return RadialProfile(grid, values, float(boundary))
+
+
+def _linearized_shift(lam, mu, p, y):
+    """The shift lam - p mu y^{p-1} of the linearization A + lam - p mu
+    y^{p-1} of A y + lam y = mu y^p at a nonnegative y: mu = +-1 for an
+    unnormalized profile, the point's mu for a normalized one."""
+    return lam - p * mu * y ** (p - 1.0)
 
 
 def _residual(op, lam, sign, y, p):
@@ -477,7 +484,7 @@ def _newton(grid, lam, sign, p, y):
     for _ in range(NEWTON_MAX_ITERATIONS):
         if converged(norm, y):
             return y, True, norm
-        delta = op.solve(lam - sign * p * np.maximum(y, 0.0) ** (p - 1.0), -fy)
+        delta = op.solve(_linearized_shift(lam, sign, p, y), -fy)
         t = 1.0
         for _ in range(30):
             y_new = np.abs(y + t * delta)
@@ -499,8 +506,10 @@ def _dirichlet_profile(grid, y):
     return RadialProfile(grid, full, grid.operator.boundary_slope(full))
 
 
-def _solve_ball_defocusing(params, lam, grid, seed_values=None):
-    """-Delta u + lam u + u^p = 0, u > 0, u(1) = 0 by `_newton` per seed."""
+def _solve_ball_defocusing(params, lam, grid):
+    """-Delta u + lam u + u^p = 0, u > 0, u(1) = 0 by `_newton`, started
+    cold: from the small-amplitude phi_1 ansatz first where -lam <
+    4 lambda_1, from the plateau ansatz first beyond."""
     lam1 = dirichlet_lambda1_exact(params.N)
     m = grid.n_nodes - 1
     p = params.p
@@ -518,18 +527,10 @@ def _solve_ball_defocusing(params, lam, grid, seed_values=None):
         k = math.sqrt(-lam / 2.0)
         return plateau * np.tanh(k * (1.0 - r))
 
-    def seeds():
-        if seed_values is not None:
-            yield np.array(seed_values[:m], dtype=float)
-        if -lam < 4.0 * lam1:
-            yield phi1_seed()
-            yield plateau_seed()
-        else:
-            yield plateau_seed()
-            yield phi1_seed()
-
-    for y in seeds():
-        y, ok, last = _newton(grid, lam, -1, p, y)
+    seeds = ((phi1_seed, plateau_seed) if -lam < 4.0 * lam1
+             else (plateau_seed, phi1_seed))
+    for seed in seeds:
+        y, ok, last = _newton(grid, lam, -1, p, seed())
         # u = 0 solves the equation at every lam; a positive solution has
         # max(u)^(p-1) >= -lam - lambda_1(h) (test against phi_1), and the
         # factor 1/2 absorbs the grid's lambda_1(h) - lambda_1
@@ -541,33 +542,28 @@ def _solve_ball_defocusing(params, lam, grid, seed_values=None):
 
 
 def solve_ball_profile(params: ProblemParams, lam: float, mu_sign: int,
-                       config: ShootConfig | None = None,
-                       grid: RadialGrid | None = None,
-                       seed=None) -> RadialProfile:
+                       config: ShootConfig | None = None) -> RadialProfile:
     """Unique positive radial Dirichlet solution on the unit ball.
 
     mu_sign=+1 requires lam > -lambda_1(B_1), mu_sign=-1 requires
-    lam < -lambda_1(B_1).  `seed` warm-starts the solver: a center value
-    for the focusing branch, a value array for the defocusing one.
+    lam < -lambda_1(B_1).  Both solves start cold.
     """
     if mu_sign not in (+1, -1):
         raise ParameterError("mu_sign must be +1 or -1")
     config = config or ShootConfig()
-    if grid is None:
-        grid = make_grid(params, config.n_nodes, 1.0)
+    grid = make_grid(params, config.n_nodes, 1.0)
     lam1 = dirichlet_lambda1_exact(params.N)
     if mu_sign > 0:
         if lam <= -lam1:
             raise DomainError(
                 f"focusing profile needs lam > -lambda1 = {-lam1:.6f}, got {lam}"
             )
-        profile, _ = _solve_ball_focusing(params, lam, grid, seed=seed)
-        return profile
+        return _solve_ball_focusing(params, lam, grid)
     if lam >= -lam1:
         raise DomainError(
             f"defocusing profile needs lam < -lambda1 = {-lam1:.6f}, got {lam}"
         )
-    return _solve_ball_defocusing(params, lam, grid, seed_values=seed)
+    return _solve_ball_defocusing(params, lam, grid)
 
 
 def solve_whole_space(params: ProblemParams, R_max: float = 20.0,

@@ -21,6 +21,7 @@ from scipy.linalg.lapack import dstebz
 
 from .branch import Branch, BranchDerivative, BranchPoint
 from .errors import ParameterError, SolverError
+from .shoot import _linearized_shift
 
 
 @dataclass(frozen=True)
@@ -184,7 +185,7 @@ def _sector_matrices(point: BranchPoint, l_max: int):
     diag, lower, vol = op.diag, op.lower, op.vol
     m = len(diag)
     u = point.profile.values[:m]
-    potential = point.lam - p * point.mu * np.abs(u) ** (p - 1.0)
+    potential = _linearized_shift(point.lam, point.mu, p, u)
     r = grid.nodes[:m]
     for ell in range((min(l_max, 1) if N == 1 else l_max) + 1):
         if ell == 0:

@@ -242,7 +242,7 @@ def test_criterion_11_spectrum():
                              (P33, (-5.0, 0.5, 3.0, 15.0))):
         grid = make_grid(params, cfg.n_nodes, 1.0)
         for lam in lam_list:
-            pt, _ = _solve_normalized(params, lam, +1, grid)
+            pt = _solve_normalized(params, lam, +1, grid)
             points.append(pt)
     assert len(points) >= 10
     gaps = []

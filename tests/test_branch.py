@@ -132,8 +132,9 @@ class TestTrace:
         assert np.all(np.diff(branch_defoc.lambdas) < 0.0)
 
     def test_coarse_defocusing_trace_avoids_trivial_state(self, cfg_fine):
-        # 9 points over the S- window: each warm seed lies far from the next
-        # solution, and Newton used to settle on u = 0 (mu ~ -1.8e-38)
+        # 9 points over the S- window: each profile lies far from the next
+        # solution, and a Newton started from it used to settle on u = 0
+        # (mu ~ -1.8e-38)
         lams = geometric_lambda_grid(P13, -2.6, -2000.0, 9, sign=-1)
         br = trace(P13, lams, -1, cfg_fine)
         assert len(br.points) == 9 and not br.failures
@@ -142,6 +143,25 @@ class TestTrace:
             cold = normalize(solve_ball_profile(P13, lam, -1, cfg_fine),
                              lam, -1, P13)
             assert pt.mu == pytest.approx(cold.mu, rel=1e-8)
+
+    def test_defocusing_points_are_cold_solves(self, branch_defoc,
+                                               cfg_fast):
+        # every S- solve starts cold, so each trace point is the cold
+        # solve at its lam bit for bit, whatever was solved before it
+        grid = make_grid(P13, cfg_fast.n_nodes, 1.0)
+        for pt in branch_defoc.points:
+            cold = _solve_normalized(P13, pt.lam, -1, grid)
+            assert np.array_equal(pt.profile.values, cold.profile.values)
+            assert (pt.alpha, pt.mu, pt.M_alpha, pt.ur1) == (
+                cold.alpha, cold.mu, cold.M_alpha, cold.ur1)
+
+    def test_defocusing_trace_solve_budget(self, operator_work, cfg_fine):
+        # the bench S- window: 121 cold solves take 262 tridiagonal solves
+        # (Newton steps, line search and the phi_1 eigenpair); started
+        # from the last solved profile they took 420
+        lams = geometric_lambda_grid(P13, -2.6, -2000.0, 121, sign=-1)
+        assert not trace(P13, lams, -1, cfg_fine).failures
+        assert operator_work.solves <= 275
 
     def test_partial_branch_on_failure(self, cfg_fast):
         # a lam below the admissible range fails that solve only
@@ -159,10 +179,10 @@ class TestTrace:
                                        exc, text):
         real = branch_module._solve_ball_defocusing
 
-        def flaky(params, lam, grid, seed_values=None):
+        def flaky(params, lam, grid):
             if lam == -4.0:
                 raise exc
-            return real(params, lam, grid, seed_values=seed_values)
+            return real(params, lam, grid)
 
         monkeypatch.setattr(branch_module, "_solve_ball_defocusing", flaky)
         br = trace(P13, [-3.0, -4.0, -5.0], -1, cfg_fast)
@@ -170,7 +190,7 @@ class TestTrace:
         assert br.failures == ((-4.0, text),)
 
     def test_programming_errors_propagate(self, cfg_fast, monkeypatch):
-        def broken(params, lam, grid, seed_values=None):
+        def broken(params, lam, grid):
             raise TypeError("unsupported operand")
 
         monkeypatch.setattr(branch_module, "_solve_ball_defocusing", broken)
@@ -217,7 +237,7 @@ class TestPointAtAlpha:
         lam1 = math.pi**2 / 4
         flat = SimpleNamespace(alpha=lam1 + 0.5 + offset)
         monkeypatch.setattr(branch_module, "_solve_normalized",
-                            lambda *args: (flat, None))
+                            lambda *args: flat)
         monkeypatch.setattr(branch_module, "_tangent",
                             lambda point: SimpleNamespace(alpha=0.0))
         message = "not reached" if offset < 0.0 else "offset floor"
@@ -274,102 +294,90 @@ class TestRefinementSolves:
     branch point, and land on the point a cold solve gives."""
 
     @pytest.fixture
-    def solved(self, monkeypatch):
-        lams = []
+    def solves(self, monkeypatch):
+        """(lam, seed, point) of each `_solve_normalized` call the test
+        makes."""
+        solves = []
 
-        def counting(params, lam, sign, grid, seed=None):
-            lams.append(float(lam))
-            return _solve_normalized(params, lam, sign, grid, seed)
+        def recording(params, lam, sign, grid, seed=None):
+            point = _solve_normalized(params, lam, sign, grid, seed)
+            solves.append((float(lam), seed, point))
+            return point
 
-        monkeypatch.setattr(branch_module, "_solve_normalized", counting)
-        return lams
+        monkeypatch.setattr(branch_module, "_solve_normalized", recording)
+        return solves
+
+    @staticmethod
+    def lams(solves):
+        return [lam for lam, _, _ in solves]
 
     @staticmethod
     def assert_cold(pt, sign):
-        cold, _ = _solve_normalized(pt.params, pt.lam, sign, pt.profile.grid)
+        cold = _solve_normalized(pt.params, pt.lam, sign, pt.profile.grid)
         assert pt.mu == pytest.approx(cold.mu, rel=1e-12)
 
     @pytest.mark.parametrize("eps", [1e-3, 2.5e-4])
     @pytest.mark.parametrize("sign", [+1, -1])
-    def test_endpoint_point_at_alpha(self, solved, cfg_fast, eps, sign):
+    def test_endpoint_point_at_alpha(self, solves, cfg_fast, eps, sign):
         pt = point_at_alpha(P13, math.pi**2 / 4 + eps, sign, cfg_fast)
-        assert len(set(solved)) == len(solved) <= 6
+        lams = self.lams(solves)
+        assert len(set(lams)) == len(lams) <= 6
         self.assert_cold(pt, sign)
 
     @pytest.mark.parametrize("eps", [1e-3, 2.5e-4])
     @pytest.mark.parametrize("sign", [+1, -1])
-    def test_point_at_alpha_stops_at_resolution(self, monkeypatch, cfg_fast,
+    def test_point_at_alpha_stops_at_resolution(self, solves, cfg_fast,
                                                 eps, sign):
         # the first solve whose alpha is the target to within sqrt(n) eps
         # alpha is the last: closer solves would only move alpha by roundoff
         target = math.pi**2 / 4 + eps
         resolution = math.sqrt(cfg_fast.n_nodes) * np.finfo(float).eps * target
-        misses = []
-
-        def recording(*args):
-            out = _solve_normalized(*args)
-            misses.append(abs(out[0].alpha - target))
-            return out
-
-        monkeypatch.setattr(branch_module, "_solve_normalized", recording)
         point_at_alpha(P13, target, sign, cfg_fast)
+        misses = [abs(pt.alpha - target) for _, _, pt in solves]
         assert misses[-1] <= resolution
         assert all(miss > resolution for miss in misses[:-1])
 
-    def test_one_point_seed_follows_tangent(self, monkeypatch, cfg_fast):
+    def test_one_point_seed_follows_tangent(self, solves, cfg_fast):
         # the second endpoint solve has a single solved neighbour; its seed
         # comes along that point's tangent, not from its center value
-        seeds = []
-
-        def recording(params, lam, sign, grid, seed=None):
-            out = _solve_normalized(params, lam, sign, grid, seed)
-            seeds.append((seed, out[1]))
-            return out
-
-        monkeypatch.setattr(branch_module, "_solve_normalized", recording)
         point_at_alpha(P13, math.pi**2 / 4 + 1e-3, +1, cfg_fast)
-        (cold, _), (seed, center) = seeds[:2]
+        (_, cold, _), (_, seed, point) = solves[:2]
         assert cold is None
+        center = point.profile.values[0] * point.mu ** 0.5  # 1/(p-1)
         assert abs(seed / center - 1.0) < 0.05
 
-    def test_find_mu_star(self, solved, branch_33):
+    def test_find_mu_star(self, solves, branch_33):
         find_mu_star(branch_33)
-        assert len(set(solved)) == len(solved) <= 8
-        assert not set(solved) & set(branch_33.lambdas)
+        lams = self.lams(solves)
+        assert len(set(lams)) == len(lams) <= 8
+        assert not set(lams) & set(branch_33.lambdas)
 
-    def test_coarse_grid_large_lam(self, solved):
+    def test_coarse_grid_large_lam(self, solves):
         # at n=257 and lam ~ 7000 the tangent's O(h^2 lam) gap makes
         # alpha_lam 8 times too large; the secant slope takes over
         pt = point_at_alpha(P33, 2e4, +1, ShootConfig(n_nodes=257))
         assert pt.alpha == pytest.approx(2e4, rel=1e-12)
-        assert len(solved) <= 12
+        assert len(solves) <= 12
 
-    def test_mu_star_is_a_local_maximum(self, monkeypatch):
+    def test_mu_star_is_a_local_maximum(self, solves):
         # on a coarse grid the root of the tangent's mu_lam lies about
         # 5e-4 in lam off the branch's own maximum
         cfg = ShootConfig(n_nodes=513)
         grid = make_grid(P33, cfg.n_nodes, 1.0)
         br = trace(P33, geometric_lambda_grid(P33, -9.0, 30.0, 12, sign=+1),
                    +1, cfg)
-        solved = {}
-
-        def recording(params, lam, sign, grid, seed=None):
-            out = _solve_normalized(params, lam, sign, grid, seed)
-            solved[out[0].mu] = lam
-            return out
-
-        monkeypatch.setattr(branch_module, "_solve_normalized", recording)
         mu_star, _, _ = find_mu_star(br)
-        lam_star = solved[mu_star]
+        lam_star = {pt.mu: lam for lam, _, pt in solves}[mu_star]
         for offset in (-1e-3, -5e-4, -2e-4, 2e-4, 5e-4, 1e-3):
-            near, _ = _solve_normalized(P33, lam_star + offset, +1, grid)
+            near = _solve_normalized(P33, lam_star + offset, +1, grid)
             assert near.mu <= mu_star
 
-    def test_solutions_at_mass(self, solved, branch_33):
+    def test_solutions_at_mass(self, solves, branch_33):
         sols = solutions_at_mass(branch_33, 6.0)
         assert len(sols) == 2
-        assert len(set(solved)) == len(solved) <= 4 * len(sols)
-        assert not set(solved) & set(branch_33.lambdas)
+        lams = self.lams(solves)
+        assert len(set(lams)) == len(lams) <= 4 * len(sols)
+        assert not set(lams) & set(branch_33.lambdas)
         for pt in sols:
             self.assert_cold(pt, +1)
 
@@ -389,7 +397,7 @@ class TestTangent:
                                           bound):
         grid = make_grid(params, cfg_fine.n_nodes, 1.0)
         h = 1e-4 * max(1.0, abs(lam))
-        point, lo, hi = (_solve_normalized(params, x, sign, grid)[0]
+        point, lo, hi = (_solve_normalized(params, x, sign, grid)
                          for x in (lam, lam - h, lam + h))
         tangent = branch_module._tangent(point)
 

@@ -88,8 +88,9 @@ class TestBallFocusing:
             assert discrete_residual(prof, lam, 1.0, params) < 1e-6
 
     def test_uniqueness_witness(self, cfg_fast):
-        a1 = solve_ball_profile(P13, 2.0, +1, cfg_fast, seed=1.0).values[0]
-        a2 = solve_ball_profile(P13, 2.0, +1, cfg_fast, seed=6.0).values[0]
+        grid = make_grid(P13, cfg_fast.n_nodes, 1.0)
+        a1 = shoot._solve_ball_focusing(P13, 2.0, grid, seed=1.0).values[0]
+        a2 = shoot._solve_ball_focusing(P13, 2.0, grid, seed=6.0).values[0]
         assert abs(a1 - a2) <= 10.0 * shoot.BISECTION_TOLERANCE * a1
 
     def test_near_endpoint_matches_eigenfunction(self, cfg_fast):
