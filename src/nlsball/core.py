@@ -22,7 +22,6 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
-from scipy.special import jv
 
 from .errors import ParameterError, SolverError
 
@@ -52,22 +51,40 @@ def dirichlet_lambda1_exact(n_dim: int) -> float:
     """First Dirichlet eigenvalue of -Laplace on the unit ball.
 
     Equals the squared first positive zero of the Bessel function J_nu with
-    nu = N/2 - 1 (radial eigenfunction r^{-nu} J_nu(sqrt(lambda) r)),
-    located by a scan in steps of 0.1 and bisection on the sign of J_nu
-    down to adjacent floats.
+    nu = N/2 - 1 (radial eigenfunction r^{-nu} J_nu(sqrt(lambda) r)).
+    J_nu(t) is Gamma(N/2)^{-1} (t/2)^nu F(t), with the power series
+        F(t) = sum_k (-t^2/4)^k / (k! (N/2)_k)
+    ((N/2)_k the rising factorial; Watson, Theory of Bessel Functions,
+    1944), summed term by term from the ratio of consecutive terms.  Its
+    first zero is located by a scan in steps of 0.1 and bisection on the
+    sign of F down to adjacent floats.  The alternating terms cancel: the
+    series at +t^2/4 bounds F's roundoff, and a SolverError is raised
+    where that roundoff could move the root by more than 1e-10 relative
+    (N above about 40).
     """
     nu = n_dim / 2.0 - 1.0
+
+    def series(z):
+        term = total = 1.0
+        k = 0
+        while abs(term) >= 1e-17 or k * (nu + k) <= abs(z):
+            k += 1
+            term *= z / (k * (nu + k))
+            total += term
+        return total
+
+    f = lambda t: series(-0.25 * t * t)
     x = max(abs(nu), 0.5)
-    f = lambda t: jv(nu, t)
     fx = f(x)
     step = 0.1
     while fx == 0.0:
         x += 1e-3
         fx = f(x)
-    t = x
+    t, ft = x, fx
     for _ in range(10000):
         t_next = t + step
-        if f(t_next) * fx < 0.0:
+        f_next = f(t_next)
+        if f_next * fx < 0.0:
             lo, hi = t, t_next
             while lo < (mid := 0.5 * (lo + hi)) < hi:
                 if f(mid) * fx < 0.0:
@@ -75,8 +92,14 @@ def dirichlet_lambda1_exact(n_dim: int) -> float:
                 else:
                     lo = mid
             root = lo if abs(f(lo)) <= abs(f(hi)) else hi
+            # F's roundoff over its slope across the scan step
+            width = (np.finfo(float).eps * series(0.25 * root * root)
+                     * step / abs(f_next - ft))
+            if width > 1e-10 * root:
+                raise SolverError("power series of J_nu loses precision",
+                                  order=nu, root_uncertainty=width)
             return root * root
-        t = t_next
+        t, ft = t_next, f_next
     raise SolverError("no Bessel zero located", order=nu)
 
 

@@ -26,8 +26,9 @@ u = a + (lam a - mu a^p) r^2/(2N) + O(r^4).  Wherever the profile falls
 below what bisection can resolve in double precision (center values only
 pin the trajectory down to relative eps, amplified by exp(sqrt(lam) r))
 before the boundary, the tail, and with it u_r(1), is replaced by the
-matched decaying solution of the linearized equation: a Bessel I/K
-combination vanishing at r = 1.
+matched decaying solution of the linearized equation, vanishing at r = 1:
+RK4 integrates it inward from r = 1, where it is the dominant mode
+(`_ball_linear_tail`).
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ive, kve
 
 from .core import (
     ProblemParams,
@@ -58,8 +58,10 @@ CROSSED = "crossed"
 REBOUND = "rebound"
 REACHED_END = "end"
 
-# tail values below TAIL_SWITCH * u(0) are dominated by separatrix noise
+# tail values below TAIL_SWITCH * u(0) are dominated by separatrix noise;
+# the inward linear tail rescales by 2^-TAIL_RESCALE_EXPONENT
 TAIL_SWITCH = 1e-6
+TAIL_RESCALE_EXPONENT = 500
 # RK4 local error per step, and the relative width of the center-value
 # bracket that bisection stops at within MAX_BISECTIONS halvings
 ODE_TOLERANCE = 1e-10
@@ -380,32 +382,57 @@ def _tail_start_index(values: np.ndarray, a: float) -> int | None:
     return max(int(below[0]) - 1, 1)
 
 
-def _ball_linear_tail(n_dim, lam, r_s, u_s, r_values):
-    """Decaying solution of -w'' - (N-1)/r w' + lam w = 0 with w(1) = 0,
-    matched to u_s at r_s.  Returns (values at r_values, w'(1)).
+def _ball_linear_tail(n_dim, lam, nodes, u_s, substeps):
+    """Decaying solution of -w'' - (N-1)/r w' + lam w = 0 with w(R) = 0 at
+    R = nodes[-1], matched to u_s at r_s = nodes[0].  Returns (values at
+    nodes[1:], w'(R)).
 
-    w(r) = r^{-nu} [I_nu(z) K_nu(z r) - K_nu(z) I_nu(z r)], nu = N/2 - 1,
-    z = sqrt(lam); the Wronskian gives w'(1) = -1 exactly.
+    Classical RK4 integrates inward from (w, w')(R) = (0, -1) in
+    `substeps` steps per cell, landing on the nodes.  The decaying
+    solution is the dominant mode inward, so the integration is stable;
+    w is rescaled by 2^-TAIL_RESCALE_EXPONENT (exact in binary) whenever
+    it passes the inverse of that, so no lam overflows.  With
+    w(r_s) = w_s the tail is u_s w / w_s and, by the Wronskian
+    normalization w'(R) = -1, its boundary slope is -u_s / w_s.
     """
-    nu = n_dim / 2.0 - 1.0
-    z = math.sqrt(lam)
-
-    def bracket_term(r):
-        # exp-scaled so every exponent is <= 0
-        return (
-            ive(nu, z) * kve(nu, z * r)
-            - kve(nu, z) * ive(nu, z * r) * np.exp(2.0 * z * (r - 1.0))
-        )
-
-    t_s = bracket_term(r_s)
-    log_gs = -nu * math.log(r_s) + z * (1.0 - r_s) + math.log(t_s)
-    inside = r_values < 1.0
-    ri = r_values[inside]
-    vals = np.zeros(len(r_values))
-    vals[inside] = u_s * np.exp(-nu * np.log(ri) + z * (1.0 - ri)
-                                + np.log(bracket_term(ri)) - log_gs)
-    boundary_slope = -u_s * math.exp(-log_gs)
-    return vals, boundary_slope
+    lam = float(lam)
+    Nm1 = n_dim - 1.0
+    m = len(nodes) - 1
+    h = float(nodes[1] - nodes[0]) / substeps
+    limit = math.ldexp(1.0, TAIL_RESCALE_EXPONENT)
+    shrink = math.ldexp(1.0, -TAIL_RESCALE_EXPONENT)
+    w_nodes = np.zeros(m + 1)
+    rescales = 0
+    r = float(nodes[-1])
+    w, v = 0.0, -1.0
+    for i in range(m - 1, -1, -1):
+        for _ in range(substeps):
+            # classical RK4 step of (w, v) = (w, w') from r to r - h
+            k1v = lam * w - Nm1 * v / r
+            rm = r - 0.5 * h
+            w2 = w - 0.5 * h * v
+            v2 = v - 0.5 * h * k1v
+            k2v = lam * w2 - Nm1 * v2 / rm
+            w3 = w - 0.5 * h * v2
+            v3 = v - 0.5 * h * k2v
+            k3v = lam * w3 - Nm1 * v3 / rm
+            r -= h
+            w4 = w - h * v3
+            v4 = v - h * k3v
+            k4v = lam * w4 - Nm1 * v4 / r
+            w -= h * (v + 2.0 * (v2 + v3) + v4) / 6.0
+            v -= h * (k1v + 2.0 * (k2v + k3v) + k4v) / 6.0
+            if w > limit:
+                w *= shrink
+                v *= shrink
+                w_nodes[i + 1 :] *= shrink
+                rescales += 1
+        r = float(nodes[i])
+        w_nodes[i] = w
+    w_s = w_nodes[0]
+    boundary_slope = math.ldexp(-u_s / w_s,
+                                -TAIL_RESCALE_EXPONENT * rescales)
+    return u_s * w_nodes[1:] / w_s, boundary_slope
 
 
 def _solve_ball_focusing(params, lam, grid, seed=None):
@@ -423,14 +450,15 @@ def _focusing_profile(params, lam, grid, a):
     the nodes beyond hold noise, and so would u_r(1): the decaying
     linear solution is grafted on from the last trustworthy node.
     """
+    substeps = _substeps(grid.spacing, lam)
     status, r_stop, values, _, v_end = _integrate(
         a, lam, 1.0, params.N, params.p, grid.radius, grid.n_nodes - 1,
-        _substeps(grid.spacing, lam), record=True
+        substeps, record=True
     )
     s = _tail_start_index(values, a)
     if lam > 0.0 and s is not None:
         values[s + 1 :], boundary = _ball_linear_tail(
-            params.N, lam, grid.nodes[s], values[s], grid.nodes[s + 1 :]
+            params.N, lam, grid.nodes[s:], values[s], substeps
         )
     elif status == REACHED_END or r_stop >= grid.radius - 1.5 * grid.spacing:
         values[np.isnan(values)] = 0.0

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
+from scipy.special import jn_zeros, jv
 
 import nlsball
 from nlsball import (
@@ -326,9 +327,40 @@ class TestEigenpair:
         eig = principal_eigenpair(params, grid)
         assert abs(eig.lambda1 / self.ORACLES[N] - 1.0) < 1e-8
 
-    @pytest.mark.parametrize("N", [1, 2, 3])
+    @staticmethod
+    def bessel_zero(nu):
+        """j_{nu,1}: scipy's jn_zeros for integer orders, else bisection
+        of jv to adjacent floats between nu + 1/2 and nu + 2 nu^{1/3} + 2
+        (true for the half-integer orders nu <= 3/2 used here)."""
+        if nu == int(nu):
+            return jn_zeros(int(nu), 1)[0]
+        lo, hi = nu + 0.5, nu + 2.0 * abs(nu) ** (1.0 / 3.0) + 2.0
+        assert jv(nu, lo) > 0.0 > jv(nu, hi)
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if jv(nu, mid) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        return lo if abs(jv(nu, lo)) <= abs(jv(nu, hi)) else hi
+
+    # the power series of J_nu meets the Bessel zeros within 2.2e-16 for
+    # N <= 6 and within 5.6e-16 at N = 8, so one bar holds for all
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 8])
     def test_exact_helper_matches_bessel(self, N):
-        assert dirichlet_lambda1_exact(N) == pytest.approx(self.ORACLES[N], rel=1e-15)
+        ref = self.bessel_zero(N / 2.0 - 1.0) ** 2
+        assert dirichlet_lambda1_exact(N) == pytest.approx(ref, rel=1e-15)
+
+    def test_exact_helper_values_are_stable(self):
+        # every lambda grid of the CLI and the benchmark is built on these
+        # values, which the former jv scan gave to the last bit
+        assert [dirichlet_lambda1_exact(N) for N in (1, 2, 3)] == [
+            2.4674011002723395, 5.783185962946785, 9.869604401089358]
+
+    def test_exact_helper_refuses_lost_precision(self):
+        # the series' alternating terms cancel ever more with the order:
+        # at N = 100 the root came out 1.7e-4 off
+        with pytest.raises(SolverError):
+            dirichlet_lambda1_exact.__wrapped__(100)
 
     def test_normalization_and_positivity(self):
         params = ProblemParams(3, 3.0)
@@ -371,10 +403,12 @@ class TestEigenpair:
         assert d2 < d1 / 3.2  # observed order ~2 (ratio 4)
 
 
-@pytest.mark.parametrize("module", ["scipy.optimize", "scipy.sparse"])
+@pytest.mark.parametrize("module",
+                         ["scipy.optimize", "scipy.sparse", "scipy.special"])
 def test_import_leaves_out(module):
-    # scipy.optimize alone adds about 13 MB to a process's peak RSS, and
-    # scipy.sparse about 3.5 MB; the package uses neither
+    # scipy.optimize alone adds about 13 MB to a process's peak RSS,
+    # scipy.sparse about 3.5 MB and scipy.special 3.7 MB on top of
+    # scipy.linalg; the package uses none of them
     env = dict(os.environ, PYTHONPATH=str(Path(nlsball.__file__).parents[1]))
     code = ("import sys, nlsball, nlsball.cli; "
             f"print({module!r} in sys.modules)")

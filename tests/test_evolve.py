@@ -24,7 +24,6 @@ from nlsball import (
 )
 from nlsball.evolve import (
     _grad_form,
-    _h1_inner,
     _mass,
     discrete_standing_wave,
     evolve,
@@ -34,6 +33,18 @@ from nlsball.errors import BlowUpError, ParameterError, SolverError
 
 P13 = ProblemParams(N=1, p=3.0)
 P33 = ProblemParams(N=3, p=3.0)
+
+
+def _h1_inner(grid, a, b):
+    """The H^1 inner product of unknowns a and b on the operator's cell
+    measure and face conductances, written out as the reference."""
+    op = grid.operator
+    da = np.diff(a)
+    db = np.diff(b)
+    grad = complex(op.cond[:-1] @ (da * np.conj(db)))
+    grad += op.cond[-1] * a[-1] * np.conj(b[-1])
+    l2 = complex(op.vol @ (a * np.conj(b)))
+    return grid.omega_n * (grad + l2)
 
 
 @pytest.fixture(scope="module")
@@ -260,6 +271,26 @@ class TestOrbitDistance:
         phi = eig.phi1.values[:-1].astype(complex)
         h1 = math.sqrt(_h1_inner(standing_wave.grid, phi, phi).real)
         assert abs(d - delta * h1) < 1e-8
+
+    @pytest.mark.parametrize("rel", [1e-4, 1e-8, 1e-12])
+    def test_matches_direct_formula(self, standing_wave, rel):
+        # y = e^{0.7i} (U + eps V) with V H^1-orthogonal to U, at distances
+        # rel ||U||; the expanded form ||y||^2 + ||U||^2 - 2|<y, U>| read
+        # 0.0 at rel = 1e-8 and 6e-8 at rel = 1e-12
+        grid = standing_wave.grid
+        u = standing_wave.values[:-1].astype(complex)
+        phi = principal_eigenpair(P13, grid).phi1.values[:-1].astype(complex)
+        v = phi - (_h1_inner(grid, phi, u) / _h1_inner(grid, u, u)).real * u
+        norm_u = math.sqrt(_h1_inner(grid, u, u).real)
+        eps = rel * norm_u / math.sqrt(_h1_inner(grid, v, v).real)
+        y = cmath.exp(0.7j) * (u + eps * v)
+        theta = cmath.phase(_h1_inner(grid, y, u))
+        d = y - cmath.exp(1j * theta) * u
+        direct = math.sqrt(_h1_inner(grid, d, d).real)
+        got = orbit_distance(ComplexField(grid, np.append(y, 0.0), 0.0),
+                             standing_wave)
+        assert direct == pytest.approx(rel * norm_u, rel=1e-2)
+        assert abs(got - direct) <= 4.0 * np.finfo(float).eps * norm_u
 
     def test_unimodular_invariance(self, standing_wave):
         vals = (standing_wave.values * (1.0 + 0.01j)).astype(complex)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import ive, kve
 
 from nlsball import (
     ProblemParams,
@@ -266,6 +267,61 @@ class TestCenterShooting:
         slopes = [shoot._focusing_profile(P33, lam, grid, a)
                   .boundary_derivative for a in (lo, hi)]
         assert abs(slopes[1] - slopes[0]) <= 1e-4 * abs(slopes[0])
+
+
+class TestLinearTail:
+    """The tail grafted where u falls below the separatrix noise floor
+    against its closed form,
+        w(r) = r^{-nu} [I_nu(z) K_nu(z r) - K_nu(z) I_nu(z r)],
+    nu = N/2 - 1, z = sqrt(lam), whose Wronskian gives w'(1) = -1."""
+
+    @staticmethod
+    def closed_form(n_dim, lam, r_s, u_s, r):
+        nu = n_dim / 2.0 - 1.0
+        z = math.sqrt(lam)
+
+        def log_w(r):
+            # exp-scaled so every exponent is <= 0
+            bracket = (ive(nu, z) * kve(nu, z * r) - kve(nu, z)
+                       * ive(nu, z * r) * np.exp(2.0 * z * (r - 1.0)))
+            return -nu * np.log(r) + z * (1.0 - r) + np.log(bracket)
+
+        log_ws = log_w(r_s)
+        values = np.zeros(len(r))
+        values[:-1] = u_s * np.exp(log_w(r[:-1]) - log_ws)
+        return values, -u_s * math.exp(-log_ws)
+
+    # measured maxima over N = 1..4 at 1548 tail nodes (n = 2049): values
+    # within 8.7e-12, 8.8e-11, 3.2e-9 and 1.6e-9 of u_s, boundary slopes
+    # within 6.1e-11, 2.4e-9, 3.3e-7 and 3.0e-7 relative
+    BARS = {50.0: (3e-11, 2e-10), 400.0: (3e-10, 1e-8),
+            3500.0: (1e-8, 1e-6), 1e4: (5e-9, 1e-6)}
+
+    @pytest.mark.parametrize("lam", sorted(BARS))
+    @pytest.mark.parametrize("n_dim", [1, 2, 3, 4])
+    def test_matches_bessel_form(self, n_dim, lam):
+        grid = make_grid(ProblemParams(n_dim, 2.0), 2049, 1.0)
+        nodes, u_s = grid.nodes[500:], 1e-3
+        values, slope = shoot._ball_linear_tail(
+            n_dim, lam, nodes, u_s, shoot._substeps(grid.spacing, lam))
+        ref, ref_slope = self.closed_form(n_dim, lam, nodes[0], u_s,
+                                          nodes[1:])
+        value_bar, slope_bar = self.BARS[lam]
+        assert np.max(np.abs(values - ref)) <= value_bar * u_s
+        assert slope == pytest.approx(ref_slope, rel=slope_bar)
+
+    def test_finite_where_the_tail_spans_exp_1000(self):
+        # from r = 1.5e-3 at lam = 1e6, w grows by about e^998 inward:
+        # it is rescaled twice, and the boundary slope underflows to 0
+        grid = make_grid(P33, 2049, 1.0)
+        lam, u_s = 1e6, 1e-3
+        values, slope = shoot._ball_linear_tail(
+            3, lam, grid.nodes[3:], u_s, shoot._substeps(grid.spacing, lam))
+        assert np.all(np.isfinite(values)) and math.isfinite(slope)
+        assert np.all(np.diff(values) <= 0.0) and values[-1] == 0.0
+        assert 0.0 < values[0] < u_s and -u_s < slope <= 0.0
+        ref, _ = self.closed_form(3, lam, grid.nodes[3], u_s, grid.nodes[4:])
+        assert np.max(np.abs(values - ref)) <= 1e-7 * u_s
 
 
 class TestBallDefocusing:
