@@ -55,7 +55,6 @@ from .asymptotics import (
 from .verify import (
     IdentityReport,
     SpectrumReport,
-    boundary_flux_check,
     derivative_identities,
     linearized_spectrum,
     pohozaev_residual,

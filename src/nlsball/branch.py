@@ -354,37 +354,31 @@ def _checked_slope(last, here):
     return here[2] if abs(mean - secant) <= 0.01 * abs(secant) else secant
 
 
-def point_at_alpha(params: ProblemParams, alpha_target: float, sign: int,
-                   config: ShootConfig | None = None) -> BranchPoint:
-    """Solve for the branch point with a prescribed alpha.
+def _point_where(resolver, level, target, base, ends=()):
+    """The branch point whose `level`, "alpha" or "mu" (fields of both
+    `BranchPoint` and `_Tangent`), is `target`.
 
-    On both curves alpha increases with the offset s = |lam + lambda_1|
-    from the endpoint (with lam on S+, as lam decreases on S-), and
-    alpha - lambda_1 is close to a power of s.  So the search takes Newton
-    steps on log(alpha - lambda_1) against log s, with the slope from each
-    point's `_tangent` (checked by `_checked_slope`), starting at
-    s = max(lambda_1, 1).  While the target is unbracketed a step moves s
+    Along both curves level - base is close to a power of the endpoint
+    offset s = |lam + lambda_1|.  So the search takes Newton steps on
+    log(level - base) against x = log s, with the slope from each point's
+    `_tangent` (checked by `_checked_slope`).  With `ends`, two solved
+    points on either side of the target, it starts at the log-log secant
+    root between them, and they bracket the search without being solved
+    again.  Without, it starts at s = max(lambda_1, 1) and marches, for a level
+    that grows with s: while the target is unbracketed a step moves s
     toward it by at most a factor 4, and by that factor where Newton gives
     no step its way; s stays above the floor 1e-8 max(lambda_1, 1) and
     |lam| below 1e8.  Once bracketed, a step that leaves the bracket is
     replaced by its geometric midpoint.
-    The search stops at the first lam whose alpha is the target to within
-    alpha's resolution, sqrt(n) eps alpha, the roundoff of its n-node
-    quadrature sum (closer solves only move alpha by roundoff), or where
-    a step would move lam by at most 1e-13 (1 + |lam|).  Near the endpoint
-    that takes about 5 solves.  Every lam is solved once, through the
-    `_Resolver` that `trace` uses: focusing solves start from a predicted
-    center value, defocusing ones cold.
+    The search stops at the first solve whose level is the target to
+    within its resolution, sqrt(n) eps |target|, the roundoff of an
+    n-node quadrature sum (closer solves only move the level by
+    roundoff), or where a step would move lam by at most 1e-13 (1 + |lam|).
     """
-    config = config or ShootConfig()
-    grid = make_grid(params, config.n_nodes, 1.0)
-    lam1 = dirichlet_lambda1_exact(params.N)
-    if alpha_target <= lam1:
-        raise DomainError(f"alpha must exceed lambda_1 = {lam1:.6f}")
-    resolver = _Resolver(params, sign, grid)
-    resolution = math.sqrt(config.n_nodes) * np.finfo(float).eps \
-        * alpha_target
-    goal = math.log(alpha_target - lam1)
+    sign, lam1 = resolver.sign, resolver.lam1
+    resolution = math.sqrt(resolver.grid.n_nodes) * np.finfo(float).eps \
+        * abs(target)
+    goal = math.log(target - base)
     unit = max(lam1, 1.0)
     x_floor = math.log(1e-8 * unit)
     widen = math.log(4.0)
@@ -394,24 +388,31 @@ def point_at_alpha(params: ProblemParams, alpha_target: float, sign: int,
 
     x = math.log(unit)  # x = log s
     below = above = None  # the nearest x on either side of the target
-    last = None  # (x, log(alpha - lambda_1), its slope) of the last solve
+    if ends:
+        (x0, y0), (x1, y1) = [
+            (math.log(sign * (pt.lam + lam1)),
+             math.log(getattr(pt, level) - base)) for pt in ends]
+        below, above = (x0, x1) if y0 < goal else (x1, x0)
+        x = x0 + (goal - y0) * (x1 - x0) / (y1 - y0)
+    last = None  # (x, log(level - base), its slope) of the last solve
     for _ in range(MAX_REFINEMENT_STEPS):
         lam = lam_at(x)
         point = resolver.point(lam)
-        miss = point.alpha - alpha_target
+        value = getattr(point, level)
+        miss = value - target
         if abs(miss) <= resolution:
             return point
         if miss < 0.0:
             below = x
         else:
             above = x
-        gap = point.alpha - lam1
+        gap = value - base
         step = math.nan
         if gap > 0.0:
-            here = (x, math.log(gap),
-                    sign * math.exp(x) * resolver.tangent(lam).alpha / gap)
+            here = (x, math.log(gap), sign * math.exp(x)
+                    * getattr(resolver.tangent(lam), level) / gap)
             slope = here[2] if last is None else _checked_slope(last, here)
-            if slope > 0.0:
+            if slope != 0.0:
                 step = (goal - here[1]) / slope
             last = here
         if below is None or above is None:
@@ -419,11 +420,12 @@ def point_at_alpha(params: ProblemParams, alpha_target: float, sign: int,
             ratio = step / toward
             x_new = x + toward * (min(ratio, 1.0) if ratio > 0.0 else 1.0)
             if miss < 0.0 and abs(lam_at(x_new)) > 1e8:
-                raise DomainError("alpha target not reached for |lam| <= 1e8")
+                raise DomainError(
+                    f"{level} target not reached for |lam| <= 1e8")
             if miss > 0.0:
                 if x == x_floor:
                     raise DomainError(
-                        f"alpha target {alpha_target} not bracketed at the "
+                        f"{level} target {target} not bracketed at the "
                         f"endpoint offset floor {math.exp(x_floor):.3g}")
                 x_new = max(x_new, x_floor)
         else:
@@ -433,8 +435,28 @@ def point_at_alpha(params: ProblemParams, alpha_target: float, sign: int,
         if abs(lam_at(x_new) - lam) <= 1e-13 * (1.0 + abs(lam)):
             return point
         x = x_new
-    raise SolverError("alpha search did not converge",
-                      steps=MAX_REFINEMENT_STEPS, alpha_target=alpha_target)
+    raise SolverError(f"{level} search did not converge",
+                      steps=MAX_REFINEMENT_STEPS, level=level, target=target)
+
+
+def point_at_alpha(params: ProblemParams, alpha_target: float, sign: int,
+                   config: ShootConfig | None = None) -> BranchPoint:
+    """Solve for the branch point with a prescribed alpha.
+
+    On both curves alpha increases with the offset s = |lam + lambda_1|
+    from the endpoint (with lam on S+, as lam decreases on S-), so
+    `_point_where` marches to the target on log(alpha - lambda_1) against
+    log s.  Near the endpoint that takes about 5 solves.  Every lam is
+    solved once, through the `_Resolver` that `trace` uses: focusing
+    solves start from a predicted center value, defocusing ones cold.
+    """
+    config = config or ShootConfig()
+    grid = make_grid(params, config.n_nodes, 1.0)
+    lam1 = dirichlet_lambda1_exact(params.N)
+    if alpha_target <= lam1:
+        raise DomainError(f"alpha must exceed lambda_1 = {lam1:.6f}")
+    return _point_where(_Resolver(params, sign, grid), "alpha", alpha_target,
+                        lam1)
 
 
 def find_mu_star(branch: Branch):
@@ -502,45 +524,16 @@ def find_mu_star(branch: Branch):
     return best.mu, best.alpha, rho_star
 
 
-def _mass_crossing(resolver, lo, hi, mu_target):
-    """The point between branch points lo and hi whose mu is mu_target:
-    Newton in lam on mu - mu_target with mu_lam from `_tangent` (checked
-    by `_checked_slope`), from the linear interpolate; a step that leaves
-    the bracket is replaced by its midpoint, and the search stops where a
-    step would move lam by at most 1e-12 + 1e-13 |lam|."""
-    f_lo = lo.mu - mu_target
-    a, b = lo.lam, hi.lam  # f < 0 at one end, > 0 at the other
-    lam = a + (b - a) * f_lo / (lo.mu - hi.mu)
-    last = None  # (lam, mu, mu_lam) of the last solve
-    for _ in range(MAX_REFINEMENT_STEPS):
-        point = resolver.point(lam)
-        f = point.mu - mu_target
-        if (f < 0.0) == (f_lo < 0.0):
-            a = lam
-        else:
-            b = lam
-        here = (lam, point.mu, resolver.tangent(lam).mu)
-        slope = here[2] if last is None else _checked_slope(last, here)
-        last = here
-        new = lam - f / slope if slope != 0.0 else math.nan
-        if not min(a, b) < new < max(a, b):
-            new = 0.5 * (a + b)
-        if abs(new - lam) <= 1e-12 + 1e-13 * abs(lam):
-            return point
-        lam = new
-    raise SolverError("prescribed-mass search did not converge",
-                      steps=MAX_REFINEMENT_STEPS, mu_target=mu_target)
-
-
 def solutions_at_mass(branch: Branch, rho: float) -> list[BranchPoint]:
     """All branch points with prescribed mass rho, i.e. mu = rho^{(p-1)/2}.
 
-    Each crossing of the traced polyline is refined by Newton in lam
-    between the two branch points that bracket it (`_mass_crossing`),
-    in about 4 solves; those points are not solved again, and new solves
-    start from a center value predicted from the nearest solved lam.  The
-    count follows the regime: one in the subcritical range, one for
-    admissible critical masses, zero or two or more supercritically.
+    Each crossing of the traced polyline is refined by `_point_where` on
+    log mu against log(lam + lambda_1), bracketed by the two branch points
+    on either side, in about 4 solves; those points are not solved again,
+    and new solves start from a center value predicted from the nearest
+    solved lam.  The count follows the regime: one in the subcritical
+    range, one for admissible critical masses, zero or two or more
+    supercritically.
     """
     if rho <= 0.0 or not math.isfinite(rho):
         raise ParameterError(f"mass must be positive, got {rho}")
@@ -558,8 +551,8 @@ def solutions_at_mass(branch: Branch, rho: float) -> list[BranchPoint]:
             out.append(points[i])
             continue
         if f0 * f1 < 0.0:
-            out.append(_mass_crossing(resolver, points[i], points[i + 1],
-                                      mu_target))
+            out.append(_point_where(resolver, "mu", mu_target, 0.0,
+                                    points[i:i + 2]))
     if len(mus) >= 1 and mus[-1] == mu_target:
         out.append(points[-1])
     out.sort(key=lambda pt: pt.alpha)

@@ -21,12 +21,7 @@ from . import branch as branch_mod
 from . import verify as verify_mod
 from .branch import geometric_lambda_grid, normalize, trace
 from .core import ProblemParams, make_grid, principal_eigenpair
-from .errors import (
-    BlowUpError,
-    NlsBallError,
-    ParameterError,
-    SolverError,
-)
+from .errors import NlsBallError, ParameterError, SolverError
 from .evolve import stability_probe
 from .shoot import ShootConfig, solve_ball_profile, solve_whole_space
 
@@ -365,9 +360,6 @@ def main(argv=None) -> int:
         cfg = _coerce(_parse_config(args.config), schema)
         out_path = args.out if args.out is not None else cfg.get("out")
         return handler(cfg, out_path)
-    except BlowUpError as exc:
-        print(f"blow-up detected at t = {exc.hit_time}", file=sys.stderr)
-        return 3
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2

@@ -1,7 +1,9 @@
 """Exception hierarchy shared by all solver modules.
 
 The CLI maps these onto exit codes: parameter/domain problems exit 2,
-numeric failures exit 1, detected blow-up exits 3.
+numeric failures exit 1.  A blow-up is no error: an evolution that hits
+its cap or stops being finite ends, and its record says so
+(`EvolutionRecord.end_reason`); the CLI's `probe` exits 3 on it.
 """
 
 
@@ -40,15 +42,3 @@ class PrecisionError(SolverError):
 class NoSolutionError(NlsBallError):
     """A selection operation received an empty candidate set."""
 
-
-class BlowUpError(NlsBallError):
-    """The evolved field exceeded the blow-up cap or stopped being finite.
-
-    Carries the hit time and the partial evolution record, whose
-    `end_reason` tells the two apart.
-    """
-
-    def __init__(self, message, hit_time, record):
-        super().__init__(message)
-        self.hit_time = hit_time
-        self.record = record

@@ -48,7 +48,7 @@ from .core import (
     RadialProfile,
     principal_eigenpair,
 )
-from .errors import BlowUpError, ParameterError, SolverError
+from .errors import ParameterError, SolverError
 from .shoot import _dirichlet_profile, _newton
 
 DEFAULT_BLOWUP_FACTOR = 25.0
@@ -152,9 +152,11 @@ def evolve(initial: ComplexField, params: ProblemParams, dt: float, T: float,
 
     dt may be negative (backward evolution); T is the total evolved span.
     Histories are sampled every `sample_every` steps plus the endpoints.
-    Raises BlowUpError, carrying the partial record, if sup|Phi| exceeds
-    the cap or if the field or its potential is no longer finite; the
-    record's `end_reason` tells the two apart.
+    The run stops early where sup|Phi| exceeds the cap, or where the field
+    or its potential is no longer finite; the record it returns says which
+    in `end_reason`, with the time reached as `blowup_time`.  A
+    `SolverError` of the step's solve that is not about a non-finite input
+    propagates.
     """
     if dt == 0.0 or T < abs(dt):
         raise ParameterError("need dt != 0 and T >= |dt|")
@@ -191,6 +193,7 @@ def evolve(initial: ComplexField, params: ProblemParams, dt: float, T: float,
     pot = mod ** (p - 1.0)
     t = initial.time
     sample(t, y, mod)
+    end_reason = "completed"
     for step in range(1, n_steps + 1):
         pot = 2.0 * mod ** (p - 1.0) - pot
         try:
@@ -200,26 +203,16 @@ def evolve(initial: ComplexField, params: ProblemParams, dt: float, T: float,
             # Phi^n or the right-hand side -(4i/dt) Phi^n is not finite
             if "array" not in exc.diagnostics:
                 raise
-            record = _build_record(grid, times, masses, energies,
-                                   dists, y, t, end_reason="nonfinite")
-            raise BlowUpError(f"field or potential not finite at t = {t:.6g}",
-                              hit_time=t, record=record) from exc
+            end_reason = "nonfinite"
+            break
         t = initial.time + step * dt
         mod = np.abs(y)
-        sup = float(mod.max())
-        hit_cap = sup > cap
+        hit_cap = float(mod.max()) > cap
         if step % sample_every == 0 or step == n_steps or hit_cap:
             sample(t, y, mod)
         if hit_cap:
-            record = _build_record(grid, times, masses, energies,
-                                   dists, y, t, end_reason="blowup_cap")
-            raise BlowUpError(f"sup|Phi| = {sup:.3e} exceeded cap {cap:.3e}",
-                              hit_time=t, record=record)
-    return _build_record(grid, times, masses, energies, dists, y, t,
-                         end_reason="completed")
-
-
-def _build_record(grid, times, masses, energies, dists, y, t, end_reason):
+            end_reason = "blowup_cap"
+            break
     full = np.zeros(grid.n_nodes, dtype=complex)
     full[:-1] = y
     return EvolutionRecord(
@@ -261,9 +254,9 @@ def stability_probe(point: BranchPoint, delta: float, T: float,
     delta = 0 reproduces the discrete standing wave exactly.
 
     A run that leaves the perturbative regime entirely -- the blow-up cap
-    is hit, or the field stops being finite -- returns the partial record
-    with `blowup_time` set: for an instability probe that departure is
-    the measurement.
+    is hit, or the field stops being finite -- ends early, and the record
+    `evolve` returns says how (`end_reason`) and when (`blowup_time`): for
+    an instability probe that departure is the measurement.
     """
     params = point.params
     U = discrete_standing_wave(point)
@@ -274,11 +267,6 @@ def stability_probe(point: BranchPoint, delta: float, T: float,
         values = (1.0 + delta) * U.values * np.exp(1j * phase)
     else:
         values = U.values.astype(complex)
-    values = values.copy()
-    values[-1] = 0.0
     initial = ComplexField(grid, values, 0.0)
-    try:
-        return evolve(initial, params, dt, T, sample_every=sample_every,
-                      reference=U, blowup_cap=blowup_cap)
-    except BlowUpError as exc:
-        return exc.record
+    return evolve(initial, params, dt, T, sample_every=sample_every,
+                  reference=U, blowup_cap=blowup_cap)

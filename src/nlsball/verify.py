@@ -6,10 +6,13 @@ differentiated constraints pair u with v = du/dalpha, and the boundary
 form links mu' to u_r(1) v_r(1).  The derivatives come from the branch
 tangent at each point (`Branch.derivative`), so the residuals measure the
 discretization error alone; int u v = 0 and int grad u . grad v = 1/2
-hold by the tangent's construction and read roundoff.  The inertia of the
-linearized operator's radial spectrum supplies the Morse index per
-spherical-harmonic sector, and the two eigenvalues that border zero supply
-the nondegeneracy gap.
+hold by the tangent's construction and read roundoff.
+`derivative_identities` reports every residual from one pass over the
+points; the boundary-flux form is computed there alone and read as
+`IdentityReport.boundary_flux_res`.  The inertia of the linearized
+operator's radial spectrum supplies the Morse index per spherical-harmonic
+sector, and the two eigenvalues that border zero supply the nondegeneracy
+gap.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ class IdentityReport:
     nonlinear_pairing_res: np.ndarray   # |mu int u^p v - 1/2|
     mu_prime_identity_res: np.ndarray   # |mu' M - lambda' + (p-1)/2| (rel)
     M_prime_res: np.ndarray             # |M' - (p+1)/(2 mu)| (rel)
-    boundary_flux_res: np.ndarray
+    boundary_flux_res: np.ndarray       # `_flux_residual`
     lambda_primes: np.ndarray
     mu_primes: np.ndarray
 
@@ -74,19 +77,13 @@ def multiplier_residual(point: BranchPoint) -> float:
     return abs(lhs - rhs) / max(1.0, abs(rhs))
 
 
-def boundary_flux_check(branch: Branch) -> np.ndarray:
+def _flux_residual(pt: BranchPoint, d: BranchDerivative) -> float:
     """Residual of the boundary-flux form of mu',
     mu' M = (p+1)/(2(p-1)) [ (-p+1+4/N) - (4 omega/N) u_r(1) v_r(1) ],
-    per point, normalized by the larger side and at least 1, as the other
-    mu' identity is: mu' changes sign on supercritical branches and is
-    small throughout at p = 1 + 4/N, where a relative residual would
+    at one point, normalized by the larger side and at least 1, as the
+    other mu' identity is: mu' changes sign on supercritical branches and
+    is small throughout at p = 1 + 4/N, where a relative residual would
     measure the grid error against zero."""
-    return np.array([_flux_residual(pt, branch.derivative(k))
-                     for k, pt in enumerate(branch.points)])
-
-
-def _flux_residual(pt: BranchPoint, d: BranchDerivative) -> float:
-    """One point's `boundary_flux_check` residual."""
     params = pt.params
     N, p = params.N, params.p
     lhs = d.mu_prime * pt.M_alpha

@@ -381,6 +381,24 @@ class TestRefinementSolves:
         for pt in sols:
             self.assert_cold(pt, +1)
 
+    def test_mass_search_stops_at_resolution(self, solves, branch_33):
+        # the alpha search's stopping rule on mu: each crossing's search
+        # stops at its first solve within sqrt(n) eps mu_target
+        sols = solutions_at_mass(branch_33, 6.0)
+        n = branch_33.points[0].profile.grid.n_nodes
+        resolution = math.sqrt(n) * np.finfo(float).eps * 6.0
+        assert len(sols) == 2
+        searches = [[]]
+        for _, _, pt in solves:
+            searches[-1].append(abs(pt.mu - 6.0))
+            if any(pt is sol for sol in sols):
+                searches.append([])
+        assert searches.pop() == []
+        assert len(searches) == 2
+        for misses in searches:
+            assert misses[-1] <= resolution
+            assert all(miss > resolution for miss in misses[:-1])
+
 
 class TestTangent:
     """`_tangent` against centered differences of cold solves at

@@ -12,7 +12,6 @@ from scipy.linalg import eigh_tridiagonal
 from nlsball import (
     ProblemParams,
     ShootConfig,
-    boundary_flux_check,
     derivative_identities,
     geometric_lambda_grid,
     linearized_spectrum,
@@ -116,17 +115,14 @@ class TestDerivativeIdentities:
             return d
 
         monkeypatch.setattr(Branch, "derivative", tracked)
-        rep = derivative_identities(identity_branch)
+        derivative_identities(identity_branch)
         assert len(taken) == len(identity_branch)
         assert max(alive) <= 1
-        monkeypatch.undo()
-        assert np.array_equal(rep.boundary_flux_res,
-                              boundary_flux_check(identity_branch))
 
 
 class TestBoundaryFlux:
     def test_subcritical_residual(self, identity_branch):
-        res = boundary_flux_check(identity_branch)
+        res = derivative_identities(identity_branch).boundary_flux_res
         assert np.max(res) < 1e-2
 
     def test_critical_sign_relation(self, branch_15):
