@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .branch import BranchPoint
-from .core import EigenPair, ProblemParams, RadialProfile
+from .core import EigenPair, ProblemParams, RadialProfile, _dirichlet_profile
 from .errors import DomainError, ParameterError, SolverError
 from .shoot import WholeSpaceGroundState, rescaled_profile
 
@@ -120,10 +120,8 @@ def solve_psi(params: ProblemParams, eig: EigenPair) -> APExpansion:
     if not err <= 1e-8 * scale + floor:
         raise SolverError("bordered endpoint solve lost accuracy",
                           residual=err)
-    psi_vals = np.zeros(grid.n_nodes)
-    psi_vals[:m] = sol
-    psi = RadialProfile(grid, psi_vals, op.boundary_slope(psi_vals))
-    c_ps = grid.integrate(eig.phi1.values**p * psi_vals)
+    psi = _dirichlet_profile(grid, sol)
+    c_ps = grid.integrate(eig.phi1.values**p * psi.values)
     # report the constant the discrete equation actually carries; it agrees
     # with int phi^{p+1} dx up to the discretization bias
     return APExpansion(eig=eig, psi=psi, c_ps=float(c_ps), c_p1=float(c_solv))

@@ -21,6 +21,7 @@ from .core import (
     ProblemParams,
     RadialProfile,
     Regime,
+    _dirichlet_profile,
     dirichlet_lambda1_exact,
     grad_norm_sq,
     make_grid,
@@ -33,12 +34,7 @@ from .errors import (
     ParameterError,
     SolverError,
 )
-from .shoot import (
-    ShootConfig,
-    _linearized_shift,
-    _solve_ball_defocusing,
-    _solve_ball_focusing,
-)
+from .shoot import ShootConfig, _linearized_shift, _solve_profile
 
 # steps of each refinement's root search before it raises SolverError
 MAX_REFINEMENT_STEPS = 100
@@ -166,20 +162,18 @@ def normalize(profile: RadialProfile, lam: float, mu_sign: int,
     )
 
 
-def _solve_normalized(params, lam, sign, grid, seed=None):
-    """Solve at lam and normalize; `seed` is a predicted focusing center
-    value, and defocusing solves start cold."""
-    if sign > 0:
-        profile = _solve_ball_focusing(params, lam, grid, seed)
-    else:
-        profile = _solve_ball_defocusing(params, lam, grid)
-    return normalize(profile, lam, sign, params)
+def _solve_normalized(params, lam, sign, grid):
+    """Solve at lam, cold (`_solve_profile`), and normalize."""
+    return normalize(_solve_profile(params, lam, sign, grid), lam, sign,
+                     params)
 
 
 def geometric_lambda_grid(params: ProblemParams, lam_lo: float, lam_hi: float,
                           n: int, sign: int = +1) -> np.ndarray:
     """Multiplier grid geometric in the offset from the branch endpoint
     -lambda_1, ascending for S+ and descending (more negative) for S-."""
+    if n < 1:
+        raise ParameterError(f"need at least one lambda, got n = {n}")
     lam1 = dirichlet_lambda1_exact(params.N)
     if sign > 0:
         if not (-lam1 < lam_lo < lam_hi):
@@ -194,9 +188,9 @@ def geometric_lambda_grid(params: ProblemParams, lam_lo: float, lam_hi: float,
 
 def trace(params: ProblemParams, lambda_grid, sign: int,
           config: ShootConfig | None = None) -> Branch:
-    """Trace the branch over the given multiplier grid, solving each lam
-    in turn through one `_Resolver`: focusing solves start from a center
-    value predicted from the points already solved, defocusing ones cold.
+    """Trace the branch over the given multiplier grid, one cold
+    `_solve_normalized` per lam: each point is the same whatever was
+    solved before it.
 
     Points are returned ordered by alpha (ascending), one per solvable
     lam; failed solves (an NlsBallError or an ArithmeticError) are
@@ -213,14 +207,13 @@ def trace(params: ProblemParams, lambda_grid, sign: int,
         raise ParameterError("focusing lambda grid must be strictly increasing")
     if sign < 0 and np.any(np.diff(lams) >= 0.0):
         raise ParameterError("defocusing lambda grid must be strictly decreasing")
-    resolver = _Resolver(params, sign, grid)
     points = []
     failures = []
-    for lam in lams:
+    for lam in map(float, lams):
         try:
-            points.append(resolver.point(lam))
+            points.append(_solve_normalized(params, lam, sign, grid))
         except (NlsBallError, ArithmeticError) as exc:
-            failures.append((float(lam), f"{type(exc).__name__}: {exc}"))
+            failures.append((lam, f"{type(exc).__name__}: {exc}"))
     points.sort(key=lambda pt: pt.alpha)
     return Branch(sign=sign, params=params, points=tuple(points),
                   failures=tuple(failures))
@@ -234,7 +227,6 @@ class _Tangent:
     alpha: float      # d alpha / d lam
     mu: float         # d mu / d lam
     M: float          # d M_alpha / d lam
-    center: float     # d a / d lam, a = u(0) |mu|^{1/(p-1)}
 
 
 def _tangent(point: BranchPoint) -> _Tangent:
@@ -263,10 +255,8 @@ def _tangent(point: BranchPoint) -> _Tangent:
     grid = u.grid
     op = grid.operator
     y = u.values[: len(op.diag)]
-    values = np.zeros(grid.n_nodes)
-    values[: len(y)] = op.solve(_linearized_shift(point.lam, point.mu, p, y),
-                                -y)
-    w = RadialProfile(grid, values, op.boundary_slope(values))
+    w = _dirichlet_profile(
+        grid, op.solve(_linearized_shift(point.lam, point.mu, p, y), -y))
     uw = grid.integrate(u.values * w.values)
     mass_rate = 2.0 * uw
     grad_pairing = grid.integrate(u.derivative_values()
@@ -278,23 +268,15 @@ def _tangent(point: BranchPoint) -> _Tangent:
         alpha=2.0 * grad_pairing - point.alpha * mass_rate,
         mu=0.5 * (p - 1.0) * point.mu * mass_rate,
         M=(p + 1.0) * grid.integrate(np.abs(u.values) ** p * u_lam.values),
-        center=float(values[0]) * abs(point.mu) ** (1.0 / (p - 1.0)),
     )
 
 
 class _Resolver:
-    """Memoized solves lam -> BranchPoint and tangents lam -> _Tangent: the
-    continuation that `trace` and the refinements share.
+    """The refinements' memo of solves lam -> BranchPoint and tangents
+    lam -> _Tangent.
 
-    Each lam is solved at most once and its tangent computed at most once;
-    the `known` points count as solved.  A focusing solve starts from the
-    center value `_seed` predicts from the solved lam nearest the target.
-    Defocusing solves start cold: from the phi_1 or plateau ansatz Newton
-    takes fewer tridiagonal solves than from the last solved profile (262
-    against 420 over 121 points of N=1, p=3, lam -2.6...-2000, n=2049),
-    and each point is the same whatever was solved before it, where a warm
-    Newton stops elsewhere inside its tolerance (mu moved by up to 3.3e-8
-    relative on that window).
+    Each lam is solved at most once, cold (`_solve_normalized`), and its
+    tangent computed at most once; the `known` points count as solved.
     """
 
     def __init__(self, params, sign, grid, known=()):
@@ -306,9 +288,8 @@ class _Resolver:
     def point(self, lam) -> BranchPoint:
         lam = float(lam)
         if lam not in self.points:
-            seed = self._seed(lam) if self.sign > 0 else None
-            self.points[lam] = _solve_normalized(
-                self.params, lam, self.sign, self.grid, seed)
+            self.points[lam] = _solve_normalized(self.params, lam, self.sign,
+                                                 self.grid)
         return self.points[lam]
 
     def tangent(self, lam) -> _Tangent:
@@ -316,30 +297,6 @@ class _Resolver:
         if lam not in self.tangents:
             self.tangents[lam] = _tangent(self.point(lam))
         return self.tangents[lam]
-
-    def _seed(self, lam):
-        """The focusing center value a = u(0) mu^{1/(p-1)} predicted at
-        the endpoint offset s = lam + lambda_1 along the line in log a
-        against log s through the nearest solved lam: its slope is the
-        secant's through the two nearest, or with one solved, that point's
-        tangent slope s a_lam / a.  None without any solved or off the
-        curve (s <= 0).  Near the endpoint a^{p-1} grows like s, far from
-        it like lam, so log a is close to linear in log s."""
-        s = lam + self.lam1
-        near = sorted(self.points, key=lambda x: abs(x - lam))[:2]
-        if not near or s <= 0.0:
-            return None
-        root = 1.0 / (self.params.p - 1.0)
-        (s0, a0), *farther = [
-            (x + self.lam1,
-             self.points[x].profile.values[0] * self.points[x].mu ** root)
-            for x in near]
-        if farther:
-            (s1, a1), = farther
-            slope = math.log(a1 / a0) / math.log(s1 / s0)
-        else:
-            slope = s0 * self.tangent(near[0]).center / a0
-        return a0 * (s / s0) ** slope
 
 
 def _checked_slope(last, here):
@@ -447,8 +404,8 @@ def point_at_alpha(params: ProblemParams, alpha_target: float, sign: int,
     from the endpoint (with lam on S+, as lam decreases on S-), so
     `_point_where` marches to the target on log(alpha - lambda_1) against
     log s.  Near the endpoint that takes about 5 solves.  Every lam is
-    solved once, through the `_Resolver` that `trace` uses: focusing
-    solves start from a predicted center value, defocusing ones cold.
+    solved once and cold, through a `_Resolver`, so the point is the one
+    `trace` gives at its lam.
     """
     config = config or ShootConfig()
     grid = make_grid(params, config.n_nodes, 1.0)
@@ -467,7 +424,7 @@ def find_mu_star(branch: Branch):
     `_tangent`) runs between the neighbours of the traced maximum until
     the bracket spans at most 1e-4 alpha; one more solve lands on the
     vertex of the parabola through the bracket's two mu values with the
-    tangents' curvature.  About 7 warm solves.
+    tangents' curvature.  About 7 cold solves.
     """
     if branch.sign < 0:
         raise DomainError("mu has no interior maximum on the defocusing curve")
@@ -529,9 +486,8 @@ def solutions_at_mass(branch: Branch, rho: float) -> list[BranchPoint]:
 
     Each crossing of the traced polyline is refined by `_point_where` on
     log mu against log(lam + lambda_1), bracketed by the two branch points
-    on either side, in about 4 solves; those points are not solved again,
-    and new solves start from a center value predicted from the nearest
-    solved lam.  The count follows the regime: one in the subcritical
+    on either side, in about 4 cold solves; those points are not solved
+    again.  The count follows the regime: one in the subcritical
     range, one for admissible critical masses, zero or two or more
     supercritically.
     """

@@ -250,6 +250,9 @@ def cmd_verify(cfg, out_path):
     (a branch without points, alpha stalling along it) exits 1 too.
     """
     sign = _sign_of(cfg["sign"])
+    if cfg["spectrum_points"] < 0:
+        raise ParameterError(
+            f"spectrum_points must be >= 0, got {cfg['spectrum_points']}")
     br = _traced_branch(cfg, sign)
     if not br.points:
         raise SolverError("no branch point for the identity suite",

@@ -203,10 +203,11 @@ class RadialGrid:
         return RadialOperator(self)
 
     @cached_property
-    def principal_mode(self) -> tuple[float, np.ndarray]:
-        """(lambda_1, phi_1 nodal values) of the operator, computed once
-        per grid for `principal_eigenpair`.  Bare values: an EigenPair's
-        profile would point back at the grid (see RadialOperator)."""
+    def principal_mode(self) -> tuple[float, np.ndarray, float]:
+        """(lambda_1, phi_1 nodal values, phi_1's boundary slope) of the
+        operator, computed once per grid for `principal_eigenpair`.  Bare
+        values: an EigenPair's profile would point back at the grid (see
+        RadialOperator)."""
         return _principal_mode(self)
 
 
@@ -337,6 +338,14 @@ class RadialProfile:
         return self.grid.integrate(self.values**2)
 
 
+def _dirichlet_profile(grid: RadialGrid, y: np.ndarray) -> RadialProfile:
+    """The profile with values y on the first nodes, 0 on the rest (the
+    Dirichlet boundary node included), and the operator's boundary slope."""
+    full = np.zeros(grid.n_nodes)
+    full[: len(y)] = y
+    return RadialProfile(grid, full, grid.operator.boundary_slope(full))
+
+
 def integrate(profile: RadialProfile, transform: Callable[[np.ndarray], np.ndarray]) -> float:
     """omega_N * int_0^R g(u(r)) r^{N-1} dr for a pointwise map g."""
     samples = np.asarray(transform(profile.values), dtype=float)
@@ -363,16 +372,16 @@ class EigenPair:
 def principal_eigenpair(params: ProblemParams, grid: RadialGrid) -> EigenPair:
     """Smallest eigenvalue of the radial Dirichlet Laplacian on the grid,
     computed once per grid (`RadialGrid.principal_mode`)."""
-    theta, full = grid.principal_mode
-    bnd = grid.operator.boundary_slope(full)
-    return EigenPair(lambda1=theta, phi1=RadialProfile(grid, full, bnd))
+    theta, values, slope = grid.principal_mode
+    return EigenPair(lambda1=theta, phi1=RadialProfile(grid, values, slope))
 
 
-def _principal_mode(grid: RadialGrid) -> tuple[float, np.ndarray]:
+def _principal_mode(grid: RadialGrid) -> tuple[float, np.ndarray, float]:
     """Inverse power iteration on the conservative tridiagonal operator,
     at most EIGEN_MAX_ITERATIONS steps; the Rayleigh-quotient residual
-    must end below EIGEN_TOLERANCE max|diag A|.  Returns the eigenvalue
-    and the positive eigenfunction's nodal values, L2-normalized.
+    must end below EIGEN_TOLERANCE max|diag A|.  Returns the eigenvalue,
+    the positive eigenfunction's nodal values, L2-normalized, and its
+    boundary slope.
     """
     op = grid.operator
     vol = op.vol
@@ -411,12 +420,9 @@ def _principal_mode(grid: RadialGrid) -> tuple[float, np.ndarray]:
             "eigen residual stalled above tolerance",
             iterations=it + 1, residual=res, rayleigh=theta,
         )
-    full = np.zeros(grid.n_nodes)
-    full[:m] = x
-    if full[m // 4] < 0.0:
-        full = -full
+    if x[m // 4] < 0.0:
+        x = -x
+    phi = _dirichlet_profile(grid, x)
     # normalize with the public quadrature so that int phi^2 dx = 1 exactly
-    nrm = math.sqrt(grid.integrate(full**2))
-    full /= nrm
-    full.setflags(write=False)
-    return theta, full
+    phi = _dirichlet_profile(grid, x / math.sqrt(phi.l2_norm_sq()))
+    return theta, phi.values, phi.boundary_derivative

@@ -46,10 +46,11 @@ from .core import (
     ProblemParams,
     RadialGrid,
     RadialProfile,
+    _dirichlet_profile,
     principal_eigenpair,
 )
 from .errors import ParameterError, SolverError
-from .shoot import _dirichlet_profile, _newton
+from .shoot import _newton
 
 DEFAULT_BLOWUP_FACTOR = 25.0
 
@@ -158,6 +159,8 @@ def evolve(initial: ComplexField, params: ProblemParams, dt: float, T: float,
     `SolverError` of the step's solve that is not about a non-finite input
     propagates.
     """
+    if not (math.isfinite(dt) and math.isfinite(T)):
+        raise ParameterError(f"dt and T must be finite, got {dt} and {T}")
     if dt == 0.0 or T < abs(dt):
         raise ParameterError("need dt != 0 and T >= |dt|")
     if sample_every < 1:

@@ -2,10 +2,9 @@
       -u'' - (N-1)/r u' + lam u = mu u^p,  u'(0) = 0, u(1) = 0:
 
 * mu = +1 (focusing) by shooting: classification bisection on the center
-  value a = u(0) (`_bisect_center`).  A predicted center value starts
-  from a bracket HANDOFF_WIDTH wide, and the search ends with Newton on
-  the boundary value u(1; a) from the bracket's secant root where that is
-  smooth, or keeps bisecting on trajectories that stop early where
+  value a = u(0) (`_bisect_center`) from a cold bracket, ended by Newton
+  on the boundary value u(1; a) from the bracket's secant root where that
+  is smooth, or by more bisection on trajectories that stop early where
   u(1; a) is a step in double precision.  Every solve first runs that
   search at RK4's own ODE_TOLERANCE step over [0, 1], wherever that step
   spans at least COARSE_FACTOR grid steps; Newton on the grid-step
@@ -15,6 +14,9 @@
   center shooting is hopeless there because separatrix perturbations grow
   like exp(sqrt((p-1)|lam|) r), which exceeds double precision long before
   |lam| reaches the asymptotic regime.
+
+Both start cold (`_solve_profile`): a profile depends on lam and the grid
+only, not on what was solved before it.
 
 The whole-space ground state of -Delta Z + Z = Z^p is the focusing
 solution at lam = R_max^2, rescaled onto the ball of radius R_max
@@ -41,6 +43,7 @@ import numpy as np
 from .core import (
     ProblemParams,
     RadialProfile,
+    _dirichlet_profile,
     dirichlet_lambda1_exact,
     grad_norm_sq,
     make_grid,
@@ -68,7 +71,7 @@ ODE_TOLERANCE = 1e-10
 BISECTION_TOLERANCE = 1e-14
 MAX_BISECTIONS = 200
 # relative bracket width at which classification bisection hands over to
-# Newton on u(R; a); a predicted center value starts from a bracket this wide
+# Newton on u(R; a)
 HANDOFF_WIDTH = 1e-3
 # a center-value search runs at the ODE_TOLERANCE step first where
 # that step spans at least COARSE_FACTOR grid steps; each Newton step on
@@ -122,8 +125,8 @@ def _integrate(a, lam, mu, n_dim, p, R, n_cells, substeps, record,
     extension u |u|^{p-1} keeps it bounded), exposing the smooth shooting
     functional a -> u(R).
     """
-    # numpy scalars (lam from an array, a from a seed) make every step
-    # below about 3x slower; on Python floats the arithmetic is the same
+    # numpy scalars (lam from an array) make every step below about 3x
+    # slower; on Python floats the arithmetic is the same
     a, lam, mu, p, R = float(a), float(lam), float(mu), float(p), float(R)
     pm1 = p - 1.0
     Nm1 = n_dim - 1.0
@@ -190,37 +193,6 @@ def _classify(a, lam, mu, n_dim, p, R, n_cells, substeps):
     return ("small" if u_end > 0.0 else "big"), r_stop
 
 
-def _seeded_bracket(classify, seed):
-    """Center values (lo, hi) of the two trajectory classes around a
-    predicted `seed`, or None.
-
-    The bracket starts as seed (1 -+ HANDOFF_WIDTH / 2); an end of the
-    wrong class becomes the other end, and the missing end moves 8 times
-    as far from the seed per try, up to 50%.
-    """
-    if seed is None or not seed > 0.0:
-        return None
-    lo = hi = None
-    offset = 0.5 * HANDOFF_WIDTH
-    while offset <= 0.5:
-        if hi is None:
-            a = seed * (1.0 + offset)
-            if classify(a) == "big":
-                hi = a
-            else:
-                lo = a
-        if lo is None:
-            a = seed * (1.0 - offset)
-            if classify(a) == "small":
-                lo = a
-            else:
-                hi = a
-        if lo is not None and hi is not None:
-            return lo, hi
-        offset *= 8.0
-    return None
-
-
 def _cold_bracket(classify, lam, mu, p):
     """Center values (lo, hi) of the two trajectory classes by a
     geometric search from the scale (lam / |mu|)^{1/(p-1)}."""
@@ -275,18 +247,18 @@ def _polish_center(boundary_value, a, slope):
             return a
 
 
-def _bisect_center(lam, mu, n_dim, p, R, n_cells, substeps, seed=None):
+def _bisect_center(lam, mu, n_dim, p, R, n_cells, substeps):
     """Locate the separatrix center value by classification bisection;
     returns (a, lo, hi) with lo 'small' and hi 'big'.
 
-    A solve first runs this whole search, from the same seed, at RK4's
-    own ODE_TOLERANCE step over [0, R], _substeps(R, lam) steps, wherever
-    that step spans at least COARSE_FACTOR grid steps (lam up to about
-    360 on 2048 cells).  That root carries the coarse step's error (about
-    1e-7 relative at p = 3, lam = 2); Newton on the grid-step u(R; a),
-    with the slope of the coarse map, removes it (`_polish_center`),
-    typically in three integrations.  If the coarse search or the polish
-    fails, the coarse root seeds the search below, as a prediction would.
+    A solve first runs this whole search at RK4's own ODE_TOLERANCE step
+    over [0, R], _substeps(R, lam) steps, wherever that step spans at
+    least COARSE_FACTOR grid steps (lam up to about 360 on 2048 cells).
+    That root carries the coarse step's error (about 1e-7 relative at
+    p = 3, lam = 2); Newton on the grid-step u(R; a), with the slope of
+    the coarse map, removes it (`_polish_center`), typically in three
+    integrations.  If the coarse search or the polish fails, the search
+    below runs at the grid step from the cold bracket (`_cold_bracket`).
 
     The bracket is first narrowed to HANDOFF_WIDTH.  A trajectory an
     offset d off the separatrix leaves it where
@@ -322,7 +294,7 @@ def _bisect_center(lam, mu, n_dim, p, R, n_cells, substeps, seed=None):
     if COARSE_FACTOR * coarse <= n_cells * substeps:
         try:
             # at one cell of `coarse` substeps this test fails: no recursion
-            a, _, _ = _bisect_center(lam, mu, n_dim, p, R, 1, coarse, seed)
+            a, _, _ = _bisect_center(lam, mu, n_dim, p, R, 1, coarse)
         except (BracketError, PrecisionError):
             pass
         else:
@@ -331,9 +303,7 @@ def _bisect_center(lam, mu, n_dim, p, R, n_cells, substeps, seed=None):
                 found = checked(_polish_center(boundary_value, a, slope))
                 if found is not None:
                     return found
-            seed = a
-    lo, hi = (_seeded_bracket(classify, seed)
-              or _cold_bracket(classify, lam, mu, p))
+    lo, hi = _cold_bracket(classify, lam, mu, p)
     used = 0
     while hi - lo > HANDOFF_WIDTH * hi and used < MAX_BISECTIONS:
         mid = 0.5 * (lo + hi)
@@ -435,14 +405,6 @@ def _ball_linear_tail(n_dim, lam, nodes, u_s, substeps):
     return u_s * w_nodes[1:] / w_s, boundary_slope
 
 
-def _solve_ball_focusing(params, lam, grid, seed=None):
-    """The focusing profile at lam; `seed` is a predicted center value."""
-    substeps = _substeps(grid.spacing, lam)
-    a, _, _ = _bisect_center(lam, 1.0, params.N, params.p, grid.radius,
-                             grid.n_nodes - 1, substeps, seed)
-    return _focusing_profile(params, lam, grid, a)
-
-
 def _focusing_profile(params, lam, grid, a):
     """The profile of the trajectory from center value a.
 
@@ -527,13 +489,6 @@ def _newton(grid, lam, sign, p, y):
     return y, converged(norm, y), norm
 
 
-def _dirichlet_profile(grid, y):
-    """The profile with interior values y and u(R) = 0."""
-    full = np.zeros(grid.n_nodes)
-    full[: len(y)] = y
-    return RadialProfile(grid, full, grid.operator.boundary_slope(full))
-
-
 def _solve_ball_defocusing(params, lam, grid):
     """-Delta u + lam u + u^p = 0, u > 0, u(1) = 0 by `_newton`, started
     cold: from the small-amplitude phi_1 ansatz first where -lam <
@@ -569,29 +524,39 @@ def _solve_ball_defocusing(params, lam, grid):
     )
 
 
+def _solve_profile(params, lam, sign, grid):
+    """The profile solving -Delta u + lam u = sign u^p on `grid`, started
+    cold: focusing by center shooting, defocusing by `_newton`."""
+    if sign < 0:
+        return _solve_ball_defocusing(params, lam, grid)
+    a, _, _ = _bisect_center(lam, 1.0, params.N, params.p, grid.radius,
+                             grid.n_nodes - 1, _substeps(grid.spacing, lam))
+    return _focusing_profile(params, lam, grid, a)
+
+
 def solve_ball_profile(params: ProblemParams, lam: float, mu_sign: int,
                        config: ShootConfig | None = None) -> RadialProfile:
     """Unique positive radial Dirichlet solution on the unit ball.
 
     mu_sign=+1 requires lam > -lambda_1(B_1), mu_sign=-1 requires
-    lam < -lambda_1(B_1).  Both solves start cold.
+    lam < -lambda_1(B_1).  Both solves start cold (`_solve_profile`).
     """
     if mu_sign not in (+1, -1):
         raise ParameterError("mu_sign must be +1 or -1")
+    if not math.isfinite(lam):
+        raise ParameterError(f"lam must be finite, got {lam}")
     config = config or ShootConfig()
     grid = make_grid(params, config.n_nodes, 1.0)
     lam1 = dirichlet_lambda1_exact(params.N)
-    if mu_sign > 0:
-        if lam <= -lam1:
-            raise DomainError(
-                f"focusing profile needs lam > -lambda1 = {-lam1:.6f}, got {lam}"
-            )
-        return _solve_ball_focusing(params, lam, grid)
-    if lam >= -lam1:
+    if mu_sign > 0 and lam <= -lam1:
+        raise DomainError(
+            f"focusing profile needs lam > -lambda1 = {-lam1:.6f}, got {lam}"
+        )
+    if mu_sign < 0 and lam >= -lam1:
         raise DomainError(
             f"defocusing profile needs lam < -lambda1 = {-lam1:.6f}, got {lam}"
         )
-    return _solve_ball_defocusing(params, lam, grid)
+    return _solve_profile(params, lam, mu_sign, grid)
 
 
 def solve_whole_space(params: ProblemParams, R_max: float = 20.0,
@@ -605,6 +570,8 @@ def solve_whole_space(params: ProblemParams, R_max: float = 20.0,
     grid, and the gradient energy is `grad_norm_sq`.
     """
     config = config or ShootConfig()
+    if not math.isfinite(R_max):
+        raise ParameterError(f"R_max must be finite, got {R_max}")
     if math.exp(-R_max) >= 1e-8:
         raise ParameterError(f"R_max = {R_max} too small for the decay floor")
     lam = R_max * R_max

@@ -46,6 +46,14 @@ P15 = ProblemParams(N=1, p=5.0)
 P33 = ProblemParams(N=3, p=3.0)
 
 
+def assert_cold_solve(pt, sign):
+    """The point equals the cold solve at its lam bit for bit."""
+    cold = _solve_normalized(pt.params, pt.lam, sign, pt.profile.grid)
+    assert np.array_equal(pt.profile.values, cold.profile.values)
+    assert (pt.alpha, pt.mu, pt.M_alpha, pt.ur1) == (
+        cold.alpha, cold.mu, cold.M_alpha, cold.ur1)
+
+
 class TestNormalize:
     def test_unit_mass_and_multiplier_identity(self, cfg_fine):
         prof = solve_ball_profile(P13, 3.0, +1, cfg_fine)
@@ -144,16 +152,15 @@ class TestTrace:
                              lam, -1, P13)
             assert pt.mu == pytest.approx(cold.mu, rel=1e-8)
 
-    def test_defocusing_points_are_cold_solves(self, branch_defoc,
-                                               cfg_fast):
-        # every S- solve starts cold, so each trace point is the cold
-        # solve at its lam bit for bit, whatever was solved before it
-        grid = make_grid(P13, cfg_fast.n_nodes, 1.0)
+    def test_focusing_points_are_cold_solves(self, branch_13):
+        # every solve starts cold, so each trace point is the cold solve
+        # at its lam bit for bit, whatever was solved before it
+        for pt in branch_13.points:
+            assert_cold_solve(pt, +1)
+
+    def test_defocusing_points_are_cold_solves(self, branch_defoc):
         for pt in branch_defoc.points:
-            cold = _solve_normalized(P13, pt.lam, -1, grid)
-            assert np.array_equal(pt.profile.values, cold.profile.values)
-            assert (pt.alpha, pt.mu, pt.M_alpha, pt.ur1) == (
-                cold.alpha, cold.mu, cold.M_alpha, cold.ur1)
+            assert_cold_solve(pt, -1)
 
     def test_defocusing_trace_solve_budget(self, operator_work, cfg_fine):
         # the bench S- window: 121 cold solves take 262 tridiagonal solves
@@ -177,23 +184,23 @@ class TestTrace:
          "ZeroDivisionError: float division by zero")])
     def test_solver_failures_collected(self, cfg_fast, monkeypatch,
                                        exc, text):
-        real = branch_module._solve_ball_defocusing
+        real = branch_module._solve_profile
 
-        def flaky(params, lam, grid):
+        def flaky(params, lam, sign, grid):
             if lam == -4.0:
                 raise exc
-            return real(params, lam, grid)
+            return real(params, lam, sign, grid)
 
-        monkeypatch.setattr(branch_module, "_solve_ball_defocusing", flaky)
+        monkeypatch.setattr(branch_module, "_solve_profile", flaky)
         br = trace(P13, [-3.0, -4.0, -5.0], -1, cfg_fast)
         assert len(br.points) == 2
         assert br.failures == ((-4.0, text),)
 
     def test_programming_errors_propagate(self, cfg_fast, monkeypatch):
-        def broken(params, lam, grid):
+        def broken(params, lam, sign, grid):
             raise TypeError("unsupported operand")
 
-        monkeypatch.setattr(branch_module, "_solve_ball_defocusing", broken)
+        monkeypatch.setattr(branch_module, "_solve_profile", broken)
         with pytest.raises(TypeError):
             trace(P13, [-3.0, -4.0, -5.0], -1, cfg_fast)
 
@@ -295,13 +302,12 @@ class TestRefinementSolves:
 
     @pytest.fixture
     def solves(self, monkeypatch):
-        """(lam, seed, point) of each `_solve_normalized` call the test
-        makes."""
+        """(lam, point) of each `_solve_normalized` call the test makes."""
         solves = []
 
-        def recording(params, lam, sign, grid, seed=None):
-            point = _solve_normalized(params, lam, sign, grid, seed)
-            solves.append((float(lam), seed, point))
+        def recording(params, lam, sign, grid):
+            point = _solve_normalized(params, lam, sign, grid)
+            solves.append((float(lam), point))
             return point
 
         monkeypatch.setattr(branch_module, "_solve_normalized", recording)
@@ -309,12 +315,7 @@ class TestRefinementSolves:
 
     @staticmethod
     def lams(solves):
-        return [lam for lam, _, _ in solves]
-
-    @staticmethod
-    def assert_cold(pt, sign):
-        cold = _solve_normalized(pt.params, pt.lam, sign, pt.profile.grid)
-        assert pt.mu == pytest.approx(cold.mu, rel=1e-12)
+        return [lam for lam, _ in solves]
 
     @pytest.mark.parametrize("eps", [1e-3, 2.5e-4])
     @pytest.mark.parametrize("sign", [+1, -1])
@@ -322,7 +323,7 @@ class TestRefinementSolves:
         pt = point_at_alpha(P13, math.pi**2 / 4 + eps, sign, cfg_fast)
         lams = self.lams(solves)
         assert len(set(lams)) == len(lams) <= 6
-        self.assert_cold(pt, sign)
+        assert_cold_solve(pt, sign)
 
     @pytest.mark.parametrize("eps", [1e-3, 2.5e-4])
     @pytest.mark.parametrize("sign", [+1, -1])
@@ -333,18 +334,9 @@ class TestRefinementSolves:
         target = math.pi**2 / 4 + eps
         resolution = math.sqrt(cfg_fast.n_nodes) * np.finfo(float).eps * target
         point_at_alpha(P13, target, sign, cfg_fast)
-        misses = [abs(pt.alpha - target) for _, _, pt in solves]
+        misses = [abs(pt.alpha - target) for _, pt in solves]
         assert misses[-1] <= resolution
         assert all(miss > resolution for miss in misses[:-1])
-
-    def test_one_point_seed_follows_tangent(self, solves, cfg_fast):
-        # the second endpoint solve has a single solved neighbour; its seed
-        # comes along that point's tangent, not from its center value
-        point_at_alpha(P13, math.pi**2 / 4 + 1e-3, +1, cfg_fast)
-        (_, cold, _), (_, seed, point) = solves[:2]
-        assert cold is None
-        center = point.profile.values[0] * point.mu ** 0.5  # 1/(p-1)
-        assert abs(seed / center - 1.0) < 0.05
 
     def test_find_mu_star(self, solves, branch_33):
         find_mu_star(branch_33)
@@ -367,7 +359,7 @@ class TestRefinementSolves:
         br = trace(P33, geometric_lambda_grid(P33, -9.0, 30.0, 12, sign=+1),
                    +1, cfg)
         mu_star, _, _ = find_mu_star(br)
-        lam_star = {pt.mu: lam for lam, _, pt in solves}[mu_star]
+        lam_star = {pt.mu: lam for lam, pt in solves}[mu_star]
         for offset in (-1e-3, -5e-4, -2e-4, 2e-4, 5e-4, 1e-3):
             near = _solve_normalized(P33, lam_star + offset, +1, grid)
             assert near.mu <= mu_star
@@ -379,7 +371,7 @@ class TestRefinementSolves:
         assert len(set(lams)) == len(lams) <= 4 * len(sols)
         assert not set(lams) & set(branch_33.lambdas)
         for pt in sols:
-            self.assert_cold(pt, +1)
+            assert_cold_solve(pt, +1)
 
     def test_mass_search_stops_at_resolution(self, solves, branch_33):
         # the alpha search's stopping rule on mu: each crossing's search
@@ -389,7 +381,7 @@ class TestRefinementSolves:
         resolution = math.sqrt(n) * np.finfo(float).eps * 6.0
         assert len(sols) == 2
         searches = [[]]
-        for _, _, pt in solves:
+        for _, pt in solves:
             searches[-1].append(abs(pt.mu - 6.0))
             if any(pt is sol for sol in sols):
                 searches.append([])
@@ -418,14 +410,9 @@ class TestTangent:
         point, lo, hi = (_solve_normalized(params, x, sign, grid)
                          for x in (lam, lam - h, lam + h))
         tangent = branch_module._tangent(point)
-
-        def center(pt):
-            return pt.profile.values[0] * abs(pt.mu) ** (1.0 / (params.p - 1.0))
-
         checks = [(tangent.alpha, lambda pt: pt.alpha),
                   (tangent.mu, lambda pt: pt.mu),
-                  (tangent.M, lambda pt: pt.M_alpha),
-                  (tangent.center, center)]
+                  (tangent.M, lambda pt: pt.M_alpha)]
         if params.N == 1:
             checks.append((tangent.u.boundary_derivative,
                            lambda pt: pt.ur1))

@@ -48,6 +48,25 @@ class TestConfigParsing:
         cfg = write_cfg(tmp_path / "c.cfg", N="three")
         assert main(["eig", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("command, values", [
+        ("branch", dict(N=1, p=3.0, lambda_min=-2.0, lambda_max=30.0,
+                        num_points=-3)),
+        ("verify", dict(N=1, p=3.0, lambda_min=-2.0, lambda_max=30.0,
+                        num_points=5, spectrum_points=-1)),
+        ("probe", dict(N=1, p=3.0, lam=1.0, T="inf", n_nodes=257)),
+        ("probe", dict(N=1, p=3.0, lam=1.0, dt="nan", n_nodes=257)),
+        ("probe", dict(N=1, p=3.0, lam="nan", n_nodes=257)),
+        ("figure1", dict(R_max="nan", n_nodes=257)),
+        ("figure1", dict(R_max="inf", n_nodes=257)),
+    ], ids=["negative-num_points", "negative-spectrum_points", "infinite-T",
+            "nan-dt", "nan-lam", "nan-R_max", "infinite-R_max"])
+    def test_bad_parameter_exits_2(self, tmp_path, capsys, command, values):
+        # each of these used to end in an uncaught ValueError or
+        # OverflowError from numpy or math
+        cfg = write_cfg(tmp_path / "c.cfg", **values)
+        assert main([command, "--config", cfg]) == 2
+        assert "parameter error" in capsys.readouterr().err
+
 
 class TestEig:
     def test_output_and_oracle(self, tmp_path):

@@ -88,10 +88,18 @@ class TestBallFocusing:
             prof = solve_ball_profile(params, lam, +1, ShootConfig(n_nodes=n))
             assert discrete_residual(prof, lam, 1.0, params) < 1e-6
 
-    def test_uniqueness_witness(self, cfg_fast):
+    def test_uniqueness_witness(self, cfg_fast, monkeypatch, shooting_work):
+        # two independent searches land on one center value: the coarse
+        # search's root polished at the grid step, and the grid-step
+        # search alone, with the coarse search switched off
         grid = make_grid(P13, cfg_fast.n_nodes, 1.0)
-        a1 = shoot._solve_ball_focusing(P13, 2.0, grid, seed=1.0).values[0]
-        a2 = shoot._solve_ball_focusing(P13, 2.0, grid, seed=6.0).values[0]
+        grid_steps = 1024 * shoot._substeps(grid.spacing, 2.0)
+        a1 = shoot._solve_profile(P13, 2.0, +1, grid).values[0]
+        assert min(shooting_work.step_counts) < grid_steps
+        shooting_work.step_counts.clear()
+        monkeypatch.setattr(shoot, "COARSE_FACTOR", math.inf)
+        a2 = shoot._solve_profile(P13, 2.0, +1, grid).values[0]
+        assert set(shooting_work.step_counts) == {grid_steps}
         assert abs(a1 - a2) <= 10.0 * shoot.BISECTION_TOLERANCE * a1
 
     def test_near_endpoint_matches_eigenfunction(self, cfg_fast):
@@ -159,8 +167,9 @@ class TestCenterShooting:
         assert shooting_work.steps < 20_000
 
     def test_warm_trace_step_budget(self, shooting_work, cfg_fast):
-        # ten points over the Figure-1 window take 146,011 steps; with the
-        # grid-step search and Brent for every seeded solve they took
+        # ten cold points over the Figure-1 window take 146,675 steps
+        # (146,247 when each solve was seeded from the points before it);
+        # with the grid-step search and Brent for every solve they took
         # 170,778
         lams = geometric_lambda_grid(P33, -math.pi**2 + 0.4, 3500.0, 10)
         assert not trace(P33, lams, +1, cfg_fast).failures
@@ -168,8 +177,8 @@ class TestCenterShooting:
 
     def test_endpoint_point_at_alpha_budget(self, shooting_work):
         # the two alpha-prescribed S+ solves of the endpoint expansion take
-        # 115,074 steps; with the grid-step search and Brent for every
-        # seeded solve they took 283,932
+        # 120,328 steps cold (115,074 seeded); with the grid-step search
+        # and Brent for every seeded solve they took 283,932
         lam1 = dirichlet_lambda1_exact(1)
         for eps in (1e-3, 2.5e-4):
             point_at_alpha(P13, lam1 + eps, +1, ShootConfig(2049))
@@ -182,21 +191,6 @@ class TestCenterShooting:
         assert prof.values[0] > 0.0
         assert shooting_work.integrations > 0
         assert shooting_work.event_free == 0
-
-    @pytest.mark.parametrize("factor", [10.0, 0.1])
-    def test_bad_seed_falls_back_to_cold_search(self, factor):
-        args = self.shooting_args(100.0, 1024)
-        cold = shoot._bisect_center(*args)
-        assert shoot._bisect_center(*args, seed=factor * cold[0]) == cold
-
-    @pytest.mark.parametrize("factor", [10.0, 0.1])
-    @pytest.mark.parametrize("n_dim, lam", [(1, 2.0), (3, 20.0)])
-    def test_bad_seed_takes_the_coarse_search(self, shooting_work, n_dim,
-                                              lam, factor):
-        args = self.shooting_args(lam, 2048, n_dim)
-        cold = shoot._bisect_center(*args)
-        assert min(shooting_work.step_counts) < 2048
-        assert shoot._bisect_center(*args, seed=factor * cold[0]) == cold
 
     @settings(max_examples=12, deadline=None)
     @given(log_s=st.floats(-3.0, math.log10(3500.0 + math.pi**2),
@@ -216,46 +210,30 @@ class TestCenterShooting:
         args = self.shooting_args(lam, 2048, n_dim)
         self.assert_classified(args, *shoot._bisect_center(*args))
 
-    @settings(max_examples=12, deadline=None)
-    @given(n_dim=st.sampled_from([1, 3]), log_s=st.floats(-3.0, 2.5),
-           offset=st.floats(-0.3, 0.3))
-    def test_warm_polish_matches_cold_root(self, n_dim, log_s, offset):
-        # a seeded solve takes the same coarse search and polish as a cold
-        # one, from the seeded bracket.  Near lam = -lambda_1, u(1; a) moves
-        # with a only through a^{p-1} ~ s = lam + lambda_1, so its roundoff
-        # pins a down to about eps / s relative; any two solves there,
-        # warm or cold, differ by up to 8e-12 at s = 1e-3
-        s = 10.0**log_s
-        lam = -dirichlet_lambda1_exact(n_dim) + s
-        args = self.shooting_args(lam, 2048, n_dim)
-        cold = shoot._bisect_center(*args)[0]
-        a, lo, hi = shoot._bisect_center(*args, seed=cold * (1.0 + offset))
-        self.assert_classified(args, a, lo, hi)
-        assert abs(a - cold) <= max(8e-14, 5e-14 / s) * cold
-
     @pytest.mark.parametrize("slope", [lambda s: 1.0, lambda s: 1e6 * s],
                              ids=["positive", "too-steep"])
-    def test_failed_polish_falls_back_to_seeded_search(self, monkeypatch,
-                                                       slope):
+    def test_failed_polish_falls_back_to_cold_search(self, monkeypatch,
+                                                     shooting_work, slope):
         # a positive slope skips the polish; one 1e6 times too steep stops
         # Newton next to the coarse root, which fails the classification
-        seeds = []
-        seeded_bracket = shoot._seeded_bracket
+        brackets = []
+        cold_bracket = shoot._cold_bracket
         true_slope = shoot._shooting_slope
 
-        def recorded(classify, seed):
-            seeds.append(seed)
-            return seeded_bracket(classify, seed)
+        def recorded(classify, lam, mu, p):
+            start = len(shooting_work.step_counts)
+            out = cold_bracket(classify, lam, mu, p)
+            brackets.append(set(shooting_work.step_counts[start:]))
+            return out
 
         monkeypatch.setattr(shoot, "_shooting_slope",
                             lambda *a: slope(true_slope(*a)))
-        monkeypatch.setattr(shoot, "_seeded_bracket", recorded)
+        monkeypatch.setattr(shoot, "_cold_bracket", recorded)
         args = self.shooting_args(2.0, 2048, n_dim=1)
         self.assert_classified(args, *shoot._bisect_center(*args))
-        # the coarse run gets the caller's seed, none here; the coarse
-        # root then seeds the grid-step fallback
-        assert seeds[0] is None and len(seeds) == 2
-        assert seeds[1] > 0.0
+        # the coarse search brackets cold at its own step; the grid-step
+        # fallback brackets cold again, at the grid step
+        assert brackets == [{shoot._substeps(1.0, 2.0)}, {args[5] * args[6]}]
 
     @pytest.mark.parametrize("lam", [240.0, 385.0])
     def test_boundary_slope_is_not_separatrix_noise(self, lam):
