@@ -70,9 +70,9 @@ def solve_psi(params: ProblemParams, eig: EigenPair) -> APExpansion:
     the conditions that psi_0 is psi's own center value and w . psi = 0
     leave a 2x2 system for (psi_0, c).  One step of iterative refinement
     (one more tridiagonal solve) brings the residual down to the rounding
-    floor of evaluating it, 20 eps max|diag A| max|psi|, which grows like
-    1/h^2; the solve is refused when the residual exceeds 1e-8 max(1,
-    max|rhs|) plus that floor.
+    floor of evaluating it (`RadialOperator.roundoff_floor`); the solve
+    is refused when the residual exceeds 1e-8 max(1, max|rhs|) plus that
+    floor.
     """
     grid = eig.phi1.grid
     op = grid.operator
@@ -114,10 +114,7 @@ def solve_psi(params: ProblemParams, eig: EigenPair) -> APExpansion:
     res, res_w = residual(sol, c)
     err = max(float(np.max(np.abs(res))), abs(res_w))
     scale = max(1.0, float(np.max(np.abs(rhs))))
-    # the rounding floor of evaluating A psi, as in `shoot._newton`
-    floor = (20.0 * np.finfo(float).eps * float(np.max(np.abs(op.diag)))
-             * float(np.max(np.abs(sol))))
-    if not err <= 1e-8 * scale + floor:
+    if not err <= 1e-8 * scale + op.roundoff_floor(sol):
         raise SolverError("bordered endpoint solve lost accuracy",
                           residual=err)
     psi = _dirichlet_profile(grid, sol)

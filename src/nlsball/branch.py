@@ -174,6 +174,9 @@ def geometric_lambda_grid(params: ProblemParams, lam_lo: float, lam_hi: float,
     -lambda_1, ascending for S+ and descending (more negative) for S-."""
     if n < 1:
         raise ParameterError(f"need at least one lambda, got n = {n}")
+    if not (math.isfinite(lam_lo) and math.isfinite(lam_hi)):
+        raise ParameterError(
+            f"lambda window ends must be finite, got {lam_lo}, {lam_hi}")
     lam1 = dirichlet_lambda1_exact(params.N)
     if sign > 0:
         if not (-lam1 < lam_lo < lam_hi):
@@ -196,13 +199,16 @@ def trace(params: ProblemParams, lambda_grid, sign: int,
     lam; failed solves (an NlsBallError or an ArithmeticError) are
     collected as "Type: message" strings rather than raised, so a partial
     branch still comes back with its diagnostics.  Any other exception is
-    a programming error and propagates.
+    a programming error and propagates.  A grid that is not finite, or
+    not ordered away from the endpoint, raises ParameterError.
     """
     config = config or ShootConfig()
     if sign not in (+1, -1):
         raise ParameterError("sign must be +1 or -1")
     grid = make_grid(params, config.n_nodes, 1.0)
     lams = np.asarray(lambda_grid, dtype=float)
+    if not np.all(np.isfinite(lams)):
+        raise ParameterError("lambda grid must be finite")
     if sign > 0 and np.any(np.diff(lams) <= 0.0):
         raise ParameterError("focusing lambda grid must be strictly increasing")
     if sign < 0 and np.any(np.diff(lams) >= 0.0):

@@ -104,19 +104,8 @@ def _sign_of(text: str) -> int:
     raise ParameterError(f"sign must be 'focusing' or 'defocusing', got {text!r}")
 
 
-def _params(cfg) -> ProblemParams:
-    n_dim = cfg["N"]
-    if not isinstance(n_dim, int) or n_dim < 1:
-        raise ParameterError(f"dimension must be an integer >= 1, got {n_dim!r}")
-    p = cfg["p"]
-    if p is None:
-        p = 1.0 + 2.0 / n_dim  # always Sobolev-admissible
-    return ProblemParams(N=n_dim, p=p)
-
-
 EIG_SCHEMA = {
     "N": (int, _MISSING),
-    "p": (float, None),
     "n_nodes": (int, 16385),
     "out": (str, None),
 }
@@ -133,8 +122,6 @@ BRANCH_SCHEMA = {
 }
 
 FIGURE1_SCHEMA = {
-    "N": (int, 3),
-    "p": (float, 3.0),
     "alpha_max": (float, 1e4),
     "num_points": (int, 80),
     "n_nodes": (int, 2049),
@@ -173,7 +160,12 @@ PROBE_SCHEMA = {
 
 
 def cmd_eig(cfg, out_path):
-    params = _params(cfg)
+    """lambda_1 and phi_1 of the unit ball in dimension N; neither depends
+    on p, so the grid is built with the always-admissible p = 1 + 2/N."""
+    n_dim = cfg["N"]
+    if n_dim < 1:
+        raise ParameterError(f"dimension must be an integer >= 1, got {n_dim!r}")
+    params = ProblemParams(N=n_dim, p=1.0 + 2.0 / n_dim)
     grid = make_grid(params, cfg["n_nodes"], 1.0)
     eig = principal_eigenpair(params, grid)
     stride = max(1, (grid.n_nodes - 1) // 64)
@@ -183,7 +175,6 @@ def cmd_eig(cfg, out_path):
     ]
     _emit(_json({
         "N": params.N,
-        "p": params.p,
         "lambda1": eig.lambda1,
         "phi1_samples": samples,
     }), out_path)
@@ -222,8 +213,8 @@ def cmd_branch(cfg, out_path):
 
 
 def cmd_figure1(cfg, out_path):
-    if cfg["N"] != 3 or cfg["p"] != 3.0:
-        raise ParameterError("the mu(alpha) reproduction is defined for N=3, p=3")
+    """The paper's Figure 1, mu(alpha) on S+ for N = 3, p = 3, against
+    the large-alpha asymptote sqrt(3) ||Z||^2 / sqrt(alpha)."""
     params = ProblemParams(N=3, p=3.0)
     config = ShootConfig(n_nodes=cfg["n_nodes"])
     Z = solve_whole_space(params, R_max=cfg["R_max"], config=config)

@@ -279,6 +279,12 @@ class RadialOperator:
                               n=len(d))
         return x
 
+    def roundoff_floor(self, y: np.ndarray) -> float:
+        """20 eps max|diag A| max|y|: the rounding floor of evaluating A y,
+        which grows like 1/h^2."""
+        return (20.0 * np.finfo(float).eps * float(np.max(np.abs(self.diag)))
+                * float(np.max(np.abs(y))))
+
     def boundary_slope(self, values: np.ndarray) -> float:
         """u_r(R) of a Dirichlet profile from the integrated equation
         -R^{N-1} u_r(R) = int_0^R (-Laplace u) r^{N-1} dr; -Laplace u

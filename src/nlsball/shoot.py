@@ -24,7 +24,7 @@ solution at lam = R_max^2, rescaled onto the ball of radius R_max
 
 Trajectories integrate with classical RK4 at a lambda-scaled step landing
 exactly on the output grid nodes, started off r = 0 with the even series
-u = a + (lam a - mu a^p) r^2/(2N) + O(r^4).  Wherever the profile falls
+u = a + (lam a - a^p) r^2/(2N) + O(r^4).  Wherever the profile falls
 below what bisection can resolve in double precision (center values only
 pin the trajectory down to relative eps, amplified by exp(sqrt(lam) r))
 before the boundary, the tail, and with it u_r(1), is replaced by the
@@ -71,11 +71,11 @@ ODE_TOLERANCE = 1e-10
 BISECTION_TOLERANCE = 1e-14
 MAX_BISECTIONS = 200
 # relative bracket width at which classification bisection hands over to
-# Newton on u(R; a)
+# Newton on u(1; a)
 HANDOFF_WIDTH = 1e-3
 # a center-value search runs at the ODE_TOLERANCE step first where
 # that step spans at least COARSE_FACTOR grid steps; each Newton step on
-# u(R; a) that polishes a root is at most POLISH_CONTRACTION of the one
+# u(1; a) that polishes a root is at most POLISH_CONTRACTION of the one
 # before
 COARSE_FACTOR = 4
 POLISH_CONTRACTION = 0.25
@@ -113,24 +113,24 @@ def _substeps(cell: float, lam: float) -> int:
     return max(1, math.ceil(cell * math.sqrt(1.0 + abs(lam)) / x_max))
 
 
-def _integrate(a, lam, mu, n_dim, p, R, n_cells, substeps, record,
+def _integrate(a, lam, n_dim, p, n_cells, substeps, record,
                terminal_events=True):
-    """Fixed-step RK4 over [0, R] with events.
+    """Fixed-step RK4 of the focusing flow over [0, 1] with events.
 
     Returns (status, r_stop, u_nodes, u_end, v_end); u_nodes is None
     unless `record`.  In record mode a zero crossing only counts as an
     event once u < -1e-12 a, so benign boundary roundoff does not truncate
     the profile; classification mode uses the sharp dichotomy.
-    With terminal_events=False the flow runs to R regardless (the odd
+    With terminal_events=False the flow runs to 1 regardless (the odd
     extension u |u|^{p-1} keeps it bounded), exposing the smooth shooting
-    functional a -> u(R).
+    functional a -> u(1).
     """
     # numpy scalars (lam from an array) make every step below about 3x
     # slower; on Python floats the arithmetic is the same
-    a, lam, mu, p, R = float(a), float(lam), float(mu), float(p), float(R)
+    a, lam, p = float(a), float(lam), float(p)
     pm1 = p - 1.0
     Nm1 = n_dim - 1.0
-    h = R / (n_cells * substeps)
+    h = 1.0 / (n_cells * substeps)
     cross_floor = -1e-12 * a if record else 0.0
 
     u_nodes = None
@@ -138,8 +138,8 @@ def _integrate(a, lam, mu, n_dim, p, R, n_cells, substeps, record,
         u_nodes = np.full(n_cells + 1, np.nan)
         u_nodes[0] = a
 
-    c2 = (lam * a - mu * a * abs(a) ** pm1) / (2.0 * n_dim)
-    c4 = (lam - mu * p * abs(a) ** pm1) * c2 / (4.0 * (n_dim + 2.0))
+    c2 = (lam * a - a * abs(a) ** pm1) / (2.0 * n_dim)
+    c4 = (lam - p * abs(a) ** pm1) * c2 / (4.0 * (n_dim + 2.0))
     r = h
     u = a + c2 * h * h + c4 * h**4
     v = 2.0 * c2 * h + 4.0 * c4 * h**3
@@ -150,7 +150,7 @@ def _integrate(a, lam, mu, n_dim, p, R, n_cells, substeps, record,
         if terminal_events:
             if u <= cross_floor:
                 return CROSSED, r, u_nodes, u, v
-            if v >= 0.0 and lam * u > mu * u * abs(u) ** pm1:
+            if v >= 0.0 and lam * u > u * abs(u) ** pm1:
                 # slope event only where the flow cannot turn back down
                 return REBOUND, r, u_nodes, u, v
         if record and step % substeps == 0:
@@ -159,32 +159,32 @@ def _integrate(a, lam, mu, n_dim, p, R, n_cells, substeps, record,
             return REACHED_END, r, u_nodes, u, v
         # classical RK4 step
         k1u = v
-        k1v = lam * u - mu * u * abs(u) ** pm1 - Nm1 * v / r
+        k1v = lam * u - u * abs(u) ** pm1 - Nm1 * v / r
         rm = r + 0.5 * h
         u2 = u + 0.5 * h * k1u
         v2 = v + 0.5 * h * k1v
         k2u = v2
-        k2v = lam * u2 - mu * u2 * abs(u2) ** pm1 - Nm1 * v2 / rm
+        k2v = lam * u2 - u2 * abs(u2) ** pm1 - Nm1 * v2 / rm
         u3 = u + 0.5 * h * k2u
         v3 = v + 0.5 * h * k2v
         k3u = v3
-        k3v = lam * u3 - mu * u3 * abs(u3) ** pm1 - Nm1 * v3 / rm
+        k3v = lam * u3 - u3 * abs(u3) ** pm1 - Nm1 * v3 / rm
         re = r + h
         u4 = u + h * k3u
         v4 = v + h * k3v
         k4u = v4
-        k4v = lam * u4 - mu * u4 * abs(u4) ** pm1 - Nm1 * v4 / re
+        k4v = lam * u4 - u4 * abs(u4) ** pm1 - Nm1 * v4 / re
         u += h * (k1u + 2.0 * (k2u + k3u) + k4u) / 6.0
         v += h * (k1v + 2.0 * (k2v + k3v) + k4v) / 6.0
         r = re
         step += 1
 
 
-def _classify(a, lam, mu, n_dim, p, R, n_cells, substeps):
-    """('big' if the trajectory crosses zero before R, else 'small', and
-    the radius where the trajectory stopped)."""
+def _classify(a, lam, n_dim, p, n_cells, substeps):
+    """('big' if the trajectory crosses zero before r = 1, else 'small',
+    and the radius where the trajectory stopped)."""
     status, r_stop, _, u_end, _ = _integrate(
-        a, lam, mu, n_dim, p, R, n_cells, substeps, record=False
+        a, lam, n_dim, p, n_cells, substeps, record=False
     )
     if status == CROSSED:
         return "big", r_stop
@@ -193,10 +193,10 @@ def _classify(a, lam, mu, n_dim, p, R, n_cells, substeps):
     return ("small" if u_end > 0.0 else "big"), r_stop
 
 
-def _cold_bracket(classify, lam, mu, p):
+def _cold_bracket(classify, lam, p):
     """Center values (lo, hi) of the two trajectory classes by a
-    geometric search from the scale (lam / |mu|)^{1/(p-1)}."""
-    base = (max(lam, 0.0) / abs(mu)) ** (1.0 / (p - 1.0)) if lam > 0 else 0.0
+    geometric search from the scale lam^{1/(p-1)}."""
+    base = lam ** (1.0 / (p - 1.0)) if lam > 0 else 0.0
     lo = hi = max(1.0, 1.5 * base)
     for _ in range(200):
         if classify(hi) == "big":
@@ -213,27 +213,27 @@ def _cold_bracket(classify, lam, mu, p):
     raise BracketError("no rebound trajectory found", a_min=lo, lam=lam)
 
 
-def _boundary_value(a, lam, mu, n_dim, p, R, n_cells, substeps):
-    """u(R; a) of the event-free flow: the smooth shooting functional."""
-    return _integrate(a, lam, mu, n_dim, p, R, n_cells, substeps,
+def _boundary_value(a, lam, n_dim, p, n_cells, substeps):
+    """u(1; a) of the event-free flow: the smooth shooting functional."""
+    return _integrate(a, lam, n_dim, p, n_cells, substeps,
                       record=False, terminal_events=False)[3]
 
 
-def _shooting_slope(a, lam, mu, n_dim, p, R, steps):
-    """d u(R; a) / da at `steps` RK4 steps over [0, R], by a central
+def _shooting_slope(a, lam, n_dim, p, steps):
+    """d u(1; a) / da at `steps` RK4 steps over [0, 1], by a central
     difference over sqrt(eps) a."""
     d = math.sqrt(np.finfo(float).eps) * a
-    up, down = (_boundary_value(b, lam, mu, n_dim, p, R, 1, steps)
+    up, down = (_boundary_value(b, lam, n_dim, p, 1, steps)
                 for b in (a + d, a - d))
     return (up - down) / (2.0 * d)
 
 
 def _polish_center(boundary_value, a, slope):
-    """Newton on `boundary_value`, u(R; a) at the caller's step, from a
+    """Newton on `boundary_value`, u(1; a) at the caller's step, from a
     with a fixed `slope`.
 
     It stops once a step is below BISECTION_TOLERANCE, or where a step is
-    more than POLISH_CONTRACTION of the one before (u(R; a) at its
+    more than POLISH_CONTRACTION of the one before (u(1; a) at its
     roundoff floor, or beyond the range where it is linear in a); the
     caller checks the root by classification.
     """
@@ -247,15 +247,15 @@ def _polish_center(boundary_value, a, slope):
             return a
 
 
-def _bisect_center(lam, mu, n_dim, p, R, n_cells, substeps):
+def _bisect_center(lam, n_dim, p, n_cells, substeps):
     """Locate the separatrix center value by classification bisection;
     returns (a, lo, hi) with lo 'small' and hi 'big'.
 
     A solve first runs this whole search at RK4's own ODE_TOLERANCE step
-    over [0, R], _substeps(R, lam) steps, wherever that step spans at
+    over [0, 1], _substeps(1, lam) steps, wherever that step spans at
     least COARSE_FACTOR grid steps (lam up to about 360 on 2048 cells).
     That root carries the coarse step's error (about 1e-7 relative at
-    p = 3, lam = 2); Newton on the grid-step u(R; a), with the slope of
+    p = 3, lam = 2); Newton on the grid-step u(1; a), with the slope of
     the coarse map, removes it (`_polish_center`), typically in three
     integrations.  If the coarse search or the polish fails, the search
     below runs at the grid step from the cold bracket (`_cold_bracket`).
@@ -264,22 +264,36 @@ def _bisect_center(lam, mu, n_dim, p, R, n_cells, substeps):
     offset d off the separatrix leaves it where
     d exp(sqrt(lam) r) grows to order one, so its stop radius grows like
     ln(1/d).  If the bracket ends' stop radii, scaled by
-    ln(BISECTION_TOLERANCE) / ln(HANDOFF_WIDTH), still fall short of R,
+    ln(BISECTION_TOLERANCE) / ln(HANDOFF_WIDTH), still fall short of 1,
     every classification down to BISECTION_TOLERANCE stops early and
-    u(R; a) is a step in double precision: bisection finishes.  Otherwise
-    `_polish_center` on the event-free boundary value u(R; a) finishes,
+    u(1; a) is a step in double precision: bisection finishes.  Otherwise
+    `_polish_center` on the event-free boundary value u(1; a) finishes,
     from the secant root of the bracket ends with the secant slope; the
     root is verified against the classification dichotomy and bisection
-    takes over whenever the verification fails.
+    takes over whenever the verification fails.  Both bisections share
+    one budget of MAX_BISECTIONS halvings.
     """
     stops = {}
+    used = 0
 
     def classify(a):
-        kind, stops[a] = _classify(a, lam, mu, n_dim, p, R, n_cells, substeps)
+        kind, stops[a] = _classify(a, lam, n_dim, p, n_cells, substeps)
         return kind
 
     def boundary_value(a):
-        return _boundary_value(a, lam, mu, n_dim, p, R, n_cells, substeps)
+        return _boundary_value(a, lam, n_dim, p, n_cells, substeps)
+
+    def bisect(lo, hi, width):
+        """Halve (lo, hi) until it is at most `width` relative."""
+        nonlocal used
+        while hi - lo > width * hi and used < MAX_BISECTIONS:
+            mid = 0.5 * (lo + hi)
+            if classify(mid) == "big":
+                hi = mid
+            else:
+                lo = mid
+            used += 1
+        return lo, hi
 
     tol = BISECTION_TOLERANCE
 
@@ -290,32 +304,24 @@ def _bisect_center(lam, mu, n_dim, p, R, n_cells, substeps):
             return root, root - pad, root + pad
         return None
 
-    coarse = _substeps(R, lam)
+    coarse = _substeps(1.0, lam)
     if COARSE_FACTOR * coarse <= n_cells * substeps:
         try:
             # at one cell of `coarse` substeps this test fails: no recursion
-            a, _, _ = _bisect_center(lam, mu, n_dim, p, R, 1, coarse)
+            a, _, _ = _bisect_center(lam, n_dim, p, 1, coarse)
         except (BracketError, PrecisionError):
             pass
         else:
-            slope = _shooting_slope(a, lam, mu, n_dim, p, R, coarse)
+            slope = _shooting_slope(a, lam, n_dim, p, coarse)
             if slope < 0.0:
                 found = checked(_polish_center(boundary_value, a, slope))
                 if found is not None:
                     return found
-    lo, hi = _cold_bracket(classify, lam, mu, p)
-    used = 0
-    while hi - lo > HANDOFF_WIDTH * hi and used < MAX_BISECTIONS:
-        mid = 0.5 * (lo + hi)
-        if classify(mid) == "big":
-            hi = mid
-        else:
-            lo = mid
-        used += 1
+    lo, hi = bisect(*_cold_bracket(classify, lam, p), HANDOFF_WIDTH)
 
     reach = max(stops[lo], stops[hi]) * (math.log(tol)
                                          / math.log(HANDOFF_WIDTH))
-    if reach >= R and hi - lo > tol * hi:
+    if reach >= 1.0 and hi - lo > tol * hi:
         g_lo, g_hi = boundary_value(lo), boundary_value(hi)
         if g_lo > 0.0 > g_hi:
             slope = (g_hi - g_lo) / (hi - lo)
@@ -323,21 +329,13 @@ def _bisect_center(lam, mu, n_dim, p, R, n_cells, substeps):
                                            lo - g_lo / slope, slope))
             if found is not None:
                 return found
-    for _ in range(used, MAX_BISECTIONS):
-        if hi - lo <= tol * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if classify(mid) == "big":
-            hi = mid
-        else:
-            lo = mid
-    else:
-        if hi - lo > 64.0 * tol * hi:
-            raise PrecisionError(
-                "bisection exhausted before tolerance",
-                bracket_width=hi - lo, relative=(hi - lo) / hi,
-                iterations=MAX_BISECTIONS,
-            )
+    lo, hi = bisect(lo, hi, tol)
+    if hi - lo > 64.0 * tol * hi:
+        raise PrecisionError(
+            "bisection exhausted before tolerance",
+            bracket_width=hi - lo, relative=(hi - lo) / hi,
+            iterations=MAX_BISECTIONS,
+        )
     return 0.5 * (lo + hi), lo, hi
 
 
@@ -408,21 +406,20 @@ def _ball_linear_tail(n_dim, lam, nodes, u_s, substeps):
 def _focusing_profile(params, lam, grid, a):
     """The profile of the trajectory from center value a.
 
-    Where u drops below the separatrix noise floor before R (lam > 0),
+    Where u drops below the separatrix noise floor before r = 1 (lam > 0),
     the nodes beyond hold noise, and so would u_r(1): the decaying
     linear solution is grafted on from the last trustworthy node.
     """
     substeps = _substeps(grid.spacing, lam)
     status, r_stop, values, _, v_end = _integrate(
-        a, lam, 1.0, params.N, params.p, grid.radius, grid.n_nodes - 1,
-        substeps, record=True
+        a, lam, params.N, params.p, grid.n_nodes - 1, substeps, record=True
     )
     s = _tail_start_index(values, a)
     if lam > 0.0 and s is not None:
         values[s + 1 :], boundary = _ball_linear_tail(
             params.N, lam, grid.nodes[s:], values[s], substeps
         )
-    elif status == REACHED_END or r_stop >= grid.radius - 1.5 * grid.spacing:
+    elif status == REACHED_END or r_stop >= 1.0 - 1.5 * grid.spacing:
         values[np.isnan(values)] = 0.0
         boundary = v_end
     else:
@@ -459,15 +456,15 @@ def _newton(grid, lam, sign, p, y):
 
     A step is halved until max|F| drops, and reflected into the positive
     cone as |y + t delta|: sign flips collapse Newton onto u = 0.  It stops
-    once max|F| <= NEWTON_TOLERANCE * _residual_scale + 20 eps max|diag A|
-    max y (the roundoff floor of A y), within NEWTON_MAX_ITERATIONS steps.
+    once max|F| <= NEWTON_TOLERANCE * _residual_scale plus the roundoff
+    floor of A y (`RadialOperator.roundoff_floor`), within
+    NEWTON_MAX_ITERATIONS steps.
     """
     op = grid.operator
-    floor = 20.0 * np.finfo(float).eps * float(np.max(np.abs(op.diag)))
 
     def converged(norm, y):
         bound = NEWTON_TOLERANCE * _residual_scale(lam, y, p)
-        return norm <= bound + floor * float(np.max(y))
+        return norm <= bound + op.roundoff_floor(y)
 
     fy = _residual(op, lam, sign, y, p)
     norm = float(np.max(np.abs(fy)))
@@ -529,8 +526,8 @@ def _solve_profile(params, lam, sign, grid):
     cold: focusing by center shooting, defocusing by `_newton`."""
     if sign < 0:
         return _solve_ball_defocusing(params, lam, grid)
-    a, _, _ = _bisect_center(lam, 1.0, params.N, params.p, grid.radius,
-                             grid.n_nodes - 1, _substeps(grid.spacing, lam))
+    a, _, _ = _bisect_center(lam, params.N, params.p, grid.n_nodes - 1,
+                             _substeps(grid.spacing, lam))
     return _focusing_profile(params, lam, grid, a)
 
 

@@ -75,19 +75,19 @@ def shooting_work(monkeypatch):
     """Counts the shooting work done while a test runs: `integrations`
     (calls of `shoot._integrate`), `steps` (RK4 steps, r_stop / h per
     call), `event_free` (calls with terminal_events=False) and
-    `step_counts` (each call's RK4 step count over [0, R],
+    `step_counts` (each call's RK4 step count over [0, 1],
     n_cells * substeps, which tells a grid-step integration from one at
     a coarser step)."""
     work = SimpleNamespace(integrations=0, steps=0, event_free=0,
                            step_counts=[])
     integrate = shoot._integrate
 
-    def counted(a, lam, mu, n_dim, p, R, n_cells, substeps, record,
+    def counted(a, lam, n_dim, p, n_cells, substeps, record,
                 terminal_events=True):
-        out = integrate(a, lam, mu, n_dim, p, R, n_cells, substeps, record,
+        out = integrate(a, lam, n_dim, p, n_cells, substeps, record,
                         terminal_events)
         work.integrations += 1
-        work.steps += round(out[1] * n_cells * substeps / R)
+        work.steps += round(out[1] * n_cells * substeps)
         work.event_free += not terminal_events
         work.step_counts.append(n_cells * substeps)
         return out

@@ -9,6 +9,7 @@ import pytest
 
 from nlsball import branch as branch_module
 from nlsball.cli import main
+from nlsball.errors import SolverError
 
 
 def write_cfg(path, **kwargs):
@@ -24,8 +25,9 @@ class TestConfigParsing:
         assert "unknown config keys" in capsys.readouterr().err
 
     def test_missing_required_key(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path / "c.cfg", p=3.0)
+        cfg = write_cfg(tmp_path / "c.cfg", n_nodes=2049)
         assert main(["eig", "--config", cfg]) == 2
+        assert "missing required config key 'N'" in capsys.readouterr().err
 
     def test_duplicate_key(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -58,11 +60,19 @@ class TestConfigParsing:
         ("probe", dict(N=1, p=3.0, lam="nan", n_nodes=257)),
         ("figure1", dict(R_max="nan", n_nodes=257)),
         ("figure1", dict(R_max="inf", n_nodes=257)),
+        ("branch", dict(N=1, p=3.0, lambda_min=-2.0, lambda_max="inf",
+                        num_points=4, n_nodes=257)),
+        ("branch", dict(N=1, p=3.0, sign="defocusing", lambda_min=-2.6,
+                        lambda_max="-inf", num_points=4, n_nodes=257)),
+        ("figure1", dict(alpha_max="inf", n_nodes=257)),
     ], ids=["negative-num_points", "negative-spectrum_points", "infinite-T",
-            "nan-dt", "nan-lam", "nan-R_max", "infinite-R_max"])
+            "nan-dt", "nan-lam", "nan-R_max", "infinite-R_max",
+            "infinite-lambda_max", "negative-infinite-lambda_max",
+            "infinite-alpha_max"])
     def test_bad_parameter_exits_2(self, tmp_path, capsys, command, values):
         # each of these used to end in an uncaught ValueError or
-        # OverflowError from numpy or math
+        # OverflowError from numpy or math, or, for an infinite lambda
+        # window end, in exit 0 with every solve past it failed
         cfg = write_cfg(tmp_path / "c.cfg", **values)
         assert main([command, "--config", cfg]) == 2
         assert "parameter error" in capsys.readouterr().err
@@ -110,6 +120,41 @@ class TestBranchCommand:
         out = tmp_path / "again.csv"
         assert main(["branch", "--config", cfg, "--out", str(out)]) == 0
         assert out.read_bytes() == branch_csv.read_bytes()
+
+    def test_defocusing_rows_leave_rho_and_energy_empty(self, tmp_path):
+        # rho and the energy belong to the focusing curve only
+        cfg = write_cfg(tmp_path / "c.cfg", N=1, p=3.0, sign="defocusing",
+                        lambda_min=-2.6, lambda_max=-30.0, num_points=5,
+                        n_nodes=513)
+        out = tmp_path / "b.csv"
+        assert main(["branch", "--config", cfg, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+        assert len(rows) == 5
+        for row in rows:
+            assert row[5:] == ["", "", "unknown"]
+            assert float(row[2]) < 0.0
+
+    def test_failed_solve_footer(self, tmp_path, monkeypatch):
+        # the second of four solves fails: three rows, then one warning
+        solve = branch_module._solve_normalized
+        lams = []
+
+        def failing(params, lam, sign, grid):
+            lams.append(lam)
+            if len(lams) == 2:
+                raise SolverError("forced failure", lam=lam)
+            return solve(params, lam, sign, grid)
+
+        monkeypatch.setattr(branch_module, "_solve_normalized", failing)
+        cfg = write_cfg(tmp_path / "c.cfg", N=1, p=3.0, lambda_min=-2.0,
+                        lambda_max=30.0, num_points=4, n_nodes=257)
+        out = tmp_path / "b.csv"
+        assert main(["branch", "--config", cfg, "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 2 + 3 + 1
+        assert lines[-1] == (f"# warning: 1 solve(s) failed; first at"
+                             f" lambda={lams[1]:.12g}: SolverError: forced"
+                             f" failure")
 
 
 class TestFigure1Command:
@@ -191,6 +236,16 @@ class TestVerifyCommand:
         doc = json.loads(out.read_text())
         assert doc["max_boundary_flux_res"] > 1e-15
         assert "boundary-flux" in doc["failures"]
+
+    def test_m_prime_failure_named(self, tmp_path):
+        cfg = write_cfg(tmp_path / "c.cfg", N=1, p=3.0, lambda_min=0.0,
+                        lambda_max=8.0, num_points=15, n_nodes=1025,
+                        spectrum_points=2, m_prime_tol=1e-15)
+        out = tmp_path / "v.json"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+        doc = json.loads(out.read_text())
+        assert doc["max_M_prime_res"] > 1e-15
+        assert doc["failures"] == ["M-prime"]
 
     def test_equal_alpha_neighbors_exit_1(self, tmp_path, capsys,
                                           monkeypatch, branch_13):

@@ -52,11 +52,11 @@ class TestShootConfig:
 
 class TestIntegrate:
     def test_numpy_scalars_run_as_floats(self):
-        # events off, so both runs cover the whole of [0, R]
-        ref = _integrate(2.0, 20.0, 1.0, 3, 3.0, 1.0, 256, 3, True,
+        # events off, so both runs cover the whole of [0, 1]
+        ref = _integrate(2.0, 20.0, 3, 3.0, 256, 3, True,
                          terminal_events=False)
-        got = _integrate(np.float64(2.0), np.float64(20.0), np.float64(1.0),
-                         3, np.float64(3.0), 1.0, 256, 3, True,
+        got = _integrate(np.float64(2.0), np.float64(20.0), 3,
+                         np.float64(3.0), 256, 3, True,
                          terminal_events=False)
         status, r_stop, u_nodes, u_end, v_end = got
         assert status == ref[0] == "end"
@@ -142,7 +142,7 @@ class TestCenterShooting:
 
     @staticmethod
     def shooting_args(lam, n_cells, n_dim=3):
-        return (lam, 1.0, n_dim, 3.0, 1.0, n_cells,
+        return (lam, n_dim, 3.0, n_cells,
                 shoot._substeps(1.0 / n_cells, lam))
 
     @staticmethod
@@ -220,9 +220,9 @@ class TestCenterShooting:
         cold_bracket = shoot._cold_bracket
         true_slope = shoot._shooting_slope
 
-        def recorded(classify, lam, mu, p):
+        def recorded(classify, lam, p):
             start = len(shooting_work.step_counts)
-            out = cold_bracket(classify, lam, mu, p)
+            out = cold_bracket(classify, lam, p)
             brackets.append(set(shooting_work.step_counts[start:]))
             return out
 
@@ -233,7 +233,7 @@ class TestCenterShooting:
         self.assert_classified(args, *shoot._bisect_center(*args))
         # the coarse search brackets cold at its own step; the grid-step
         # fallback brackets cold again, at the grid step
-        assert brackets == [{shoot._substeps(1.0, 2.0)}, {args[5] * args[6]}]
+        assert brackets == [{shoot._substeps(1.0, 2.0)}, {args[3] * args[4]}]
 
     @pytest.mark.parametrize("lam", [240.0, 385.0])
     def test_boundary_slope_is_not_separatrix_noise(self, lam):
