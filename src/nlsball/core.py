@@ -14,14 +14,19 @@ equation.
 from __future__ import annotations
 
 import cmath
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
+from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
+                                 FileFinder)
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+import scipy
 
 from .errors import ParameterError, SolverError
 
@@ -29,6 +34,31 @@ from .errors import ParameterError, SolverError
 # Rayleigh-quotient residual it must end below, relative to max|diag A|
 EIGEN_TOLERANCE = 1e-12
 EIGEN_MAX_ITERATIONS = 500
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK wrapper module `scipy.linalg._flapack`,
+    loaded from its file alone so that `scipy/linalg/__init__.py` never
+    runs: with scipy 1.17 that package import pulls in about 330 modules
+    and doubles a numpy process's peak RSS.  The module is registered
+    under its own name, so a later `import scipy.linalg` shares it (and
+    one made earlier is reused)."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    where = Path(scipy.__file__).parent / "linalg"
+    spec = FileFinder(str(where), (ExtensionFileLoader, EXTENSION_SUFFIXES)
+                      ).find_spec(name)
+    if spec is None:
+        raise ImportError(f"no compiled module {name} in {where}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# LAPACK: ?gtsv for the tridiagonal solves, dstebz for the spectra
+_flapack = _load_flapack()
 
 
 class Regime(Enum):
@@ -251,8 +281,8 @@ class RadialOperator:
         or a 2-D array with one column per right-hand side, which are all
         solved in the same call and each bit for bit as if alone.
 
-        One LAPACK ?gtsv call (partial pivoting) on the stored bands; the
-        routine follows the dtype of the shifted diagonal and of rhs.
+        One LAPACK ?gtsv call (partial pivoting) on the stored bands:
+        zgtsv when the shifted diagonal or rhs is complex, dgtsv otherwise.
         Raises SolverError when the shifted diagonal or rhs is not finite
         (`index` names the unknown, `value` the first bad entry), or when
         the system is singular.
@@ -270,7 +300,8 @@ class RadialOperator:
                                   array=name,
                                   index=flat // (values.size // len(values)),
                                   value=values.flat[flat].item())
-        gtsv, = get_lapack_funcs(("gtsv",), (d, rhs))
+        gtsv = (_flapack.zgtsv if np.iscomplexobj(d) or np.iscomplexobj(rhs)
+                else _flapack.dgtsv)
         # d is ours to overwrite; the bands and rhs are copied by the wrapper
         _, _, _, x, info = gtsv(self.lower, d, self.upper, rhs,
                                 overwrite_d=True)

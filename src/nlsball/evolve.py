@@ -15,10 +15,12 @@ and sets Phi^{n+1} = psi - Phi^n: the same scheme and the same Cayley
 transform, with no matvec.  The solve's screen of its inputs is the
 step's only finiteness check, and the samples reuse the step's |Phi| and
 one difference of Phi.  At n = 1025 (N = 1, p = 3, dt = 2e-3, samples
-every 10 steps) a step costs 68-73 us, against 94-106 us for the form
-with A Phi^n on the right-hand side (shared 2-core Intel Xeon, one
-thread, best of 5 runs of 10 000 steps, the two forms alternating); the
-LAPACK ?gtsv call is about 45 us of it.
+every 10 steps) the best of 5 runs of 10 000 steps read 61-88 us per step
+over four such measurements on a shared 2-core Intel Xeon (one thread;
+the host's speed drifted between them).  Of that, the LAPACK zgtsv call
+of scipy's wrapper module `scipy.linalg._flapack` takes 37-45 us.  With
+the two forms alternating, the best runs read 70-78 us per step for this
+form and 89-98 us for the form with A Phi^n on the right-hand side.
 The scheme is linearly implicit: there is no inner iteration, so a step
 cannot stall.  Because A is symmetric under the finite-volume cell
 measure and V is real, each step is a Cayley transform and conserves the

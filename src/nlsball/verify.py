@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dstebz
 
 from .branch import Branch, BranchDerivative, BranchPoint
+from .core import _flapack
 from .errors import ParameterError, SolverError
 from .shoot import _linearized_shift
 
@@ -221,7 +221,7 @@ def _bordering_eigenvalues(d: np.ndarray, e: np.ndarray):
 def _stebz(d, e, select, vl, vu, k):
     """Eigenvalues of (d, e) by LAPACK bisection, ascending: those in
     (vl, vu] for select = 1, the k-th lowest (1-based) for select = 2."""
-    m, w, _, _, info = dstebz(d, e, select, vl, vu, k, k, 0.0, "E")
+    m, w, _, _, info = _flapack.dstebz(d, e, select, vl, vu, k, k, 0.0, "E")
     if info != 0:
         raise SolverError("tridiagonal bisection failed", info=info,
                           size=len(d))

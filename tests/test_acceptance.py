@@ -17,6 +17,7 @@ from nlsball import (
     ProblemParams,
     ShootConfig,
     ap_predict,
+    defocusing_diagnostics,
     geometric_lambda_grid,
     gn_constant,
     linearized_spectrum,
@@ -224,13 +225,16 @@ def test_criterion_10_defocusing_asymptotics():
     lam_star = brentq(lambda l: mu_at(l) + 1e4, -6000.0, -4500.0, xtol=1e-6)
     prof = solve_ball_profile(P13, lam_star, -1, cfg)
     pt = normalize(prof, lam_star, -1, P13)
+    diag = defocusing_diagnostics(pt)
     elapsed = time.perf_counter() - t0
+    # the flat-profile limit on B_1 in R^1: lam/mu -> 1/2, u(0) -> 1/sqrt(2)
     assert abs(pt.mu + 1e4) < 1.0
-    assert abs(pt.lam / pt.mu - 0.5) < 0.02
-    assert abs(pt.alpha / pt.lam) < 0.05
-    assert abs(pt.profile.values[0] - 1.0 / math.sqrt(2.0)) < 0.02
+    assert diag.lambda_over_mu_err < 0.02
+    assert diag.alpha_over_lambda < 0.05
+    assert diag.plateau_err < 0.02
     report(10, "defocusing asymptotics", elapsed, 30.0,
-           f"lam/mu={pt.lam/pt.mu:.4f} u0={pt.profile.values[0]:.4f}")
+           f"|lam/mu-1/2|={diag.lambda_over_mu_err:.4f} "
+           f"|u0-2^-1/2|={diag.plateau_err:.4f}")
 
 
 def test_criterion_11_spectrum():
