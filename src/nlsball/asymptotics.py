@@ -13,13 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .branch import BranchPoint
 from .core import EigenPair, ProblemParams, RadialProfile, _dirichlet_profile
 from .errors import DomainError, ParameterError, SolverError
 from .shoot import WholeSpaceGroundState, rescaled_profile
+
+if TYPE_CHECKING:
+    from .branch import BranchPoint
 
 
 @dataclass(frozen=True)
@@ -129,6 +132,7 @@ def ap_predict(exp: APExpansion, epsilon: float, sign: int):
 
     t = sign sqrt(eps/c_ps); mu = t, lambda = -lambda_1 + t c_p1, and
     u = phi_1 + t psi, all with o(sqrt(eps)) remainders.
+    `branch.point_at_alpha` starts its search at this lambda.
     """
     if epsilon <= 0.0:
         raise ParameterError("epsilon must be positive")

@@ -17,6 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .asymptotics import ap_predict, solve_psi
 from .core import (
     ProblemParams,
     RadialProfile,
@@ -25,6 +26,7 @@ from .core import (
     dirichlet_lambda1_exact,
     grad_norm_sq,
     make_grid,
+    principal_eigenpair,
 )
 from .errors import (
     DegenerateInputError,
@@ -317,22 +319,23 @@ def _checked_slope(last, here):
     return here[2] if abs(mean - secant) <= 0.01 * abs(secant) else secant
 
 
-def _point_where(resolver, level, target, base, ends=()):
+def _point_where(resolver, level, target, base, start):
     """The branch point whose `level`, "alpha" or "mu" (fields of both
     `BranchPoint` and `_Tangent`), is `target`.
 
     Along both curves level - base is close to a power of the endpoint
     offset s = |lam + lambda_1|.  So the search takes Newton steps on
     log(level - base) against x = log s, with the slope from each point's
-    `_tangent` (checked by `_checked_slope`).  With `ends`, two solved
-    points on either side of the target, it starts at the log-log secant
-    root between them, and they bracket the search without being solved
-    again.  Without, it starts at s = max(lambda_1, 1) and marches, for a level
-    that grows with s: while the target is unbracketed a step moves s
-    toward it by at most a factor 4, and by that factor where Newton gives
-    no step its way; s stays above the floor 1e-8 max(lambda_1, 1) and
-    |lam| below 1e8.  Once bracketed, a step that leaves the bracket is
-    replaced by its geometric midpoint.
+    `_tangent` (checked by `_checked_slope`).  `start` is either two
+    solved points on either side of the target, which bracket the search
+    without being solved again, and it starts at the log-log secant root
+    between them; or the lam to solve first, for a level that grows with
+    s.  From that lam it marches: while the target is unbracketed a step
+    moves s toward it by at most a factor 4, and by that factor where
+    Newton gives no step its way; s stays above the floor
+    1e-8 max(lambda_1, 1) and |lam| below 1e8, and a start outside that
+    range is moved to its edge.  Once bracketed, a step that leaves the
+    bracket is replaced by its geometric midpoint.
     The search stops at the first solve whose level is the target to
     within its resolution, sqrt(n) eps |target|, the roundoff of an
     n-node quadrature sum (closer solves only move the level by
@@ -342,24 +345,29 @@ def _point_where(resolver, level, target, base, ends=()):
     resolution = math.sqrt(resolver.grid.n_nodes) * np.finfo(float).eps \
         * abs(target)
     goal = math.log(target - base)
-    unit = max(lam1, 1.0)
-    x_floor = math.log(1e-8 * unit)
+    x_floor = math.log(1e-8 * max(lam1, 1.0))
     widen = math.log(4.0)
 
     def lam_at(x):
         return -lam1 + sign * math.exp(x)
 
-    x = math.log(unit)  # x = log s
     below = above = None  # the nearest x on either side of the target
-    if ends:
+    if isinstance(start, tuple):
         (x0, y0), (x1, y1) = [
             (math.log(sign * (pt.lam + lam1)),
-             math.log(getattr(pt, level) - base)) for pt in ends]
+             math.log(getattr(pt, level) - base)) for pt in start]
         below, above = (x0, x1) if y0 < goal else (x1, x0)
         x = x0 + (goal - y0) * (x1 - x0) / (y1 - y0)
+        lam = lam_at(x)
+    else:
+        lam = max(-1e8, min(float(start), 1e8))
+        if sign * (lam + lam1) > math.exp(x_floor):
+            x = math.log(sign * (lam + lam1))
+        else:
+            x = x_floor
+            lam = lam_at(x)
     last = None  # (x, log(level - base), its slope) of the last solve
     for _ in range(MAX_REFINEMENT_STEPS):
-        lam = lam_at(x)
         point = resolver.point(lam)
         value = getattr(point, level)
         miss = value - target
@@ -395,9 +403,10 @@ def _point_where(resolver, level, target, base, ends=()):
             x_new = x + step
             if not min(below, above) < x_new < max(below, above):
                 x_new = 0.5 * (below + above)
-        if abs(lam_at(x_new) - lam) <= 1e-13 * (1.0 + abs(lam)):
+        lam_new = lam_at(x_new)
+        if abs(lam_new - lam) <= 1e-13 * (1.0 + abs(lam)):
             return point
-        x = x_new
+        x, lam = x_new, lam_new
     raise SolverError(f"{level} search did not converge",
                       steps=MAX_REFINEMENT_STEPS, level=level, target=target)
 
@@ -409,17 +418,20 @@ def point_at_alpha(params: ProblemParams, alpha_target: float, sign: int,
     On both curves alpha increases with the offset s = |lam + lambda_1|
     from the endpoint (with lam on S+, as lam decreases on S-), so
     `_point_where` marches to the target on log(alpha - lambda_1) against
-    log s.  Near the endpoint that takes about 5 solves.  Every lam is
-    solved once and cold, through a `_Resolver`, so the point is the one
-    `trace` gives at its lam.
+    log s.  It starts at the lam of the endpoint expansion on the
+    shooting grid (`solve_psi`, `ap_predict`), which near the endpoint
+    leaves about 3 solves.  Every lam is solved once and cold, through a
+    `_Resolver`, so the point is the one `trace` gives at its lam.
     """
     config = config or ShootConfig()
     grid = make_grid(params, config.n_nodes, 1.0)
     lam1 = dirichlet_lambda1_exact(params.N)
-    if alpha_target <= lam1:
+    if not alpha_target > lam1:
         raise DomainError(f"alpha must exceed lambda_1 = {lam1:.6f}")
+    expansion = solve_psi(params, principal_eigenpair(params, grid))
+    _, start, _ = ap_predict(expansion, alpha_target - lam1, sign)
     return _point_where(_Resolver(params, sign, grid), "alpha", alpha_target,
-                        lam1)
+                        lam1, start)
 
 
 def find_mu_star(branch: Branch):

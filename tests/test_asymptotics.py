@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlsball import (
     ProblemParams,
@@ -148,6 +150,27 @@ class TestSolvePsi:
 
 
 class TestAPPredict:
+    @settings(max_examples=30, deadline=None)
+    @given(N=st.sampled_from([1, 2, 3]), n=st.sampled_from([16, 257, 2049]),
+           p_frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           log_eps=st.floats(-8.0, 10.0), sign=st.sampled_from([+1, -1]))
+    def test_prediction_leaves_the_endpoint(self, N, n, p_frac, log_eps,
+                                            sign):
+        # `point_at_alpha` starts at ap_predict's lam: c_ps = <(A -
+        # lambda_1) psi, psi> on phi_1's complement is positive (3.3e-7 at
+        # N=1, p=1.01 up to 0.011 at N=3, p=4.9), so the predicted offset
+        # from the grid's endpoint is finite and on the curve's side.  p
+        # starts at 1.01: c_ps ~ 3.3e-3 (p - 1)^2 at N=1, whose digits go
+        # to roundoff as p -> 1 (2.9e-23 against 3.3e-23 at p - 1 = 1e-10)
+        p_max = 9.0 if N < 3 else (N + 2.0) / (N - 2.0)  # 2* - 1 from N=3
+        params = ProblemParams(N, 1.01 + p_frac * (p_max - 1.01))
+        ap = solve_psi(params, principal_eigenpair(params,
+                                                   make_grid(params, n, 1.0)))
+        assert ap.c_ps > 0.0
+        _, lam, _ = ap_predict(ap, 10.0**log_eps, sign)
+        offset = sign * (lam + ap.eig.lambda1)
+        assert math.isfinite(offset) and offset > 0.0
+
     def test_base_point_limit(self, expansion_13):
         mu, lam, u = ap_predict(expansion_13, 1e-22, +1)
         assert abs(mu) < 1e-9

@@ -17,6 +17,7 @@ from nlsball import (
     ShootConfig,
     StabilityTag,
     action_value,
+    ap_predict,
     ball_volume,
     classify_stability,
     find_mu_star,
@@ -26,13 +27,15 @@ from nlsball import (
     make_grid,
     normalize,
     point_at_alpha,
+    principal_eigenpair,
     solutions_at_mass,
     solve_ball_profile,
+    solve_psi,
     trace,
 )
 from nlsball import branch as branch_module
 from nlsball.branch import _solve_normalized
-from nlsball.core import RadialProfile
+from nlsball.core import RadialProfile, dirichlet_lambda1_exact
 from nlsball.errors import (
     DegenerateInputError,
     DomainError,
@@ -237,6 +240,9 @@ class TestPointAtAlpha:
     def test_below_lambda1_rejected(self, cfg_fast):
         with pytest.raises(DomainError):
             point_at_alpha(P13, 1.0, +1, cfg_fast)
+        # a nan target would give the search a nan start
+        with pytest.raises(DomainError):
+            point_at_alpha(P13, math.nan, +1, cfg_fast)
 
     @pytest.mark.parametrize("offset", [-1.0, 1.0])
     def test_unbracketed_target_rejected(self, cfg_fast, monkeypatch, offset):
@@ -251,6 +257,26 @@ class TestPointAtAlpha:
         message = "not reached" if offset < 0.0 else "offset floor"
         with pytest.raises(DomainError, match=message):
             point_at_alpha(P13, lam1 + 0.5, -1, cfg_fast)
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_predicted_start_within_lam_bound(self, monkeypatch, sign):
+        # at N=1, p=1.01 c_ps = 3.3e-7, so alpha - lambda_1 = 1e10 predicts
+        # |lam + lambda_1| = 1.74e8; the first solve stays at |lam| <= 1e8,
+        # and from there the march's bound error takes over
+        target = dirichlet_lambda1_exact(1) + 1e10
+        lams = []
+
+        def recording(params, lam, sign, grid):
+            lams.append(lam)
+            return SimpleNamespace(alpha=target - 1.0)
+
+        monkeypatch.setattr(branch_module, "_solve_normalized", recording)
+        monkeypatch.setattr(branch_module, "_tangent",
+                            lambda point: SimpleNamespace(alpha=0.0))
+        with pytest.raises(DomainError, match="not reached"):
+            point_at_alpha(ProblemParams(N=1, p=1.01), target, sign,
+                           ShootConfig(n_nodes=257))
+        assert lams == [sign * 1e8]
 
 
 class TestMuStar:
@@ -323,8 +349,36 @@ class TestRefinementSolves:
     def test_endpoint_point_at_alpha(self, solves, cfg_fast, eps, sign):
         pt = point_at_alpha(P13, math.pi**2 / 4 + eps, sign, cfg_fast)
         lams = self.lams(solves)
-        assert len(set(lams)) == len(lams) <= 6
+        assert len(set(lams)) == len(lams) <= 3
         assert_cold_solve(pt, sign)
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_point_at_alpha_starts_at_prediction(self, solves, cfg_fast,
+                                                 sign):
+        # the first solve is at the lam the endpoint expansion predicts on
+        # the shooting grid
+        lam1 = dirichlet_lambda1_exact(1)
+        target = lam1 + 1e-3
+        grid = make_grid(P13, cfg_fast.n_nodes, 1.0)
+        expansion = solve_psi(P13, principal_eigenpair(P13, grid))
+        _, lam, _ = ap_predict(expansion, target - lam1, sign)
+        point_at_alpha(P13, target, sign, cfg_fast)
+        assert self.lams(solves)[0] == lam
+
+    def test_point_at_alpha_start_past_the_grid_endpoint(self, solves):
+        # at N=3, n=257 the grid's lambda_1 lies 1.5e-4 below the exact
+        # one; for alpha - lambda_1 = 1e-10 on S- the expansion's lam lies
+        # between the two (5.8e-5 past the exact endpoint), so the search
+        # starts at its offset floor, and takes 13 solves (17 from the
+        # fixed start)
+        lam1 = dirichlet_lambda1_exact(3)
+        target = lam1 + 1e-10
+        pt = point_at_alpha(P33, target, -1, ShootConfig(n_nodes=257))
+        assert self.lams(solves)[0] == pytest.approx(-lam1 - 1e-8 * lam1,
+                                                     abs=1e-14)
+        assert abs(pt.alpha - target) <= math.sqrt(257) \
+            * np.finfo(float).eps * target
+        assert len(solves) <= 13
 
     @pytest.mark.parametrize("eps", [1e-3, 2.5e-4])
     @pytest.mark.parametrize("sign", [+1, -1])
@@ -350,7 +404,7 @@ class TestRefinementSolves:
         # alpha_lam 8 times too large; the secant slope takes over
         pt = point_at_alpha(P33, 2e4, +1, ShootConfig(n_nodes=257))
         assert pt.alpha == pytest.approx(2e4, rel=1e-12)
-        assert len(solves) <= 12
+        assert len(solves) <= 8
 
     def test_mu_star_is_a_local_maximum(self, solves):
         # on a coarse grid the root of the tangent's mu_lam lies about

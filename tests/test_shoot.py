@@ -176,13 +176,15 @@ class TestCenterShooting:
         assert shooting_work.steps < 153_000
 
     def test_endpoint_point_at_alpha_budget(self, shooting_work):
-        # the two alpha-prescribed S+ solves of the endpoint expansion take
-        # 120,328 steps cold (115,074 seeded); with the grid-step search
+        # the two alpha-prescribed S+ searches of the endpoint expansion
+        # take 71,983 steps from the expansion's predicted lam (3 cold
+        # solves each), against 120,328 from the fixed start
+        # |lam + lambda_1| = lambda_1 (5 each); with the grid-step search
         # and Brent for every seeded solve they took 283,932
         lam1 = dirichlet_lambda1_exact(1)
         for eps in (1e-3, 2.5e-4):
             point_at_alpha(P13, lam1 + eps, +1, ShootConfig(2049))
-        assert shooting_work.steps < 150_000
+        assert shooting_work.steps < 80_000
 
     def test_large_lambda_skips_brent(self, shooting_work):
         # u(1; a) is a step in double precision at lam = 3000, so no
