@@ -6,6 +6,8 @@ Gagliardo-Nirenberg constants, identity/spectral verification along the
 curves, and an empirical time-evolution stability probe.
 """
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     EigenPair,
     ProblemParams,
@@ -15,7 +17,6 @@ from .core import (
     ball_volume,
     dirichlet_lambda1_exact,
     grad_norm_sq,
-    integrate,
     make_grid,
     principal_eigenpair,
     surface_measure,
@@ -33,7 +34,6 @@ from .branch import (
     BranchDerivative,
     BranchPoint,
     StabilityTag,
-    action_value,
     classify_stability,
     find_mu_star,
     geometric_lambda_grid,
@@ -65,7 +65,7 @@ from .evolve import (
     orbit_distance,
     stability_probe,
 )
-from . import errors
-
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, without the submodules those imports bind
+__all__ = sorted(name for name, value in globals().items()
+                 if not (name.startswith("_") or isinstance(value, _ModuleType)))
 __version__ = "0.1.0"

@@ -17,7 +17,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import EigenPair, ProblemParams, RadialProfile, _dirichlet_profile
+from .core import (EigenPair, ProblemParams, RadialProfile, _dirichlet_profile,
+                   ball_volume)
 from .errors import DomainError, ParameterError, SolverError
 from .shoot import WholeSpaceGroundState, rescaled_profile
 
@@ -134,8 +135,8 @@ def ap_predict(exp: APExpansion, epsilon: float, sign: int):
     u = phi_1 + t psi, all with o(sqrt(eps)) remainders.
     `branch.point_at_alpha` starts its search at this lambda.
     """
-    if epsilon <= 0.0:
-        raise ParameterError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ParameterError(f"epsilon must be positive and finite, got {epsilon}")
     if sign not in (+1, -1):
         raise ParameterError("sign must be +1 or -1")
     t = sign * math.sqrt(epsilon / exp.c_ps)
@@ -186,7 +187,7 @@ def defocusing_diagnostics(point: BranchPoint) -> DefocusingDiagnostics:
     if point.mu >= 0.0:
         raise ParameterError("diagnostics apply to the defocusing curve only")
     params = point.params
-    vol = params.omega / params.N  # |B_1|
+    vol = ball_volume(params.N)
     target_ratio = vol ** (-(params.p - 1.0) / 2.0)
     ratio = point.lam / point.mu
     plateau = vol ** (-0.5)

@@ -279,34 +279,6 @@ def _tangent(point: BranchPoint) -> _Tangent:
     )
 
 
-class _Resolver:
-    """The refinements' memo of solves lam -> BranchPoint and tangents
-    lam -> _Tangent.
-
-    Each lam is solved at most once, cold (`_solve_normalized`), and its
-    tangent computed at most once; the `known` points count as solved.
-    """
-
-    def __init__(self, params, sign, grid, known=()):
-        self.params, self.sign, self.grid = params, sign, grid
-        self.lam1 = dirichlet_lambda1_exact(params.N)
-        self.points = {pt.lam: pt for pt in known}
-        self.tangents = {}
-
-    def point(self, lam) -> BranchPoint:
-        lam = float(lam)
-        if lam not in self.points:
-            self.points[lam] = _solve_normalized(self.params, lam, self.sign,
-                                                 self.grid)
-        return self.points[lam]
-
-    def tangent(self, lam) -> _Tangent:
-        lam = float(lam)
-        if lam not in self.tangents:
-            self.tangents[lam] = _tangent(self.point(lam))
-        return self.tangents[lam]
-
-
 def _checked_slope(last, here):
     """The slope at `here` from two solves given as (x, y, tangent slope):
     the tangent's, or the secant's where the mean of the two tangents
@@ -319,7 +291,7 @@ def _checked_slope(last, here):
     return here[2] if abs(mean - secant) <= 0.01 * abs(secant) else secant
 
 
-def _point_where(resolver, level, target, base, start):
+def _point_where(params, sign, grid, level, target, base, start):
     """The branch point whose `level`, "alpha" or "mu" (fields of both
     `BranchPoint` and `_Tangent`), is `target`.
 
@@ -341,8 +313,8 @@ def _point_where(resolver, level, target, base, start):
     n-node quadrature sum (closer solves only move the level by
     roundoff), or where a step would move lam by at most 1e-13 (1 + |lam|).
     """
-    sign, lam1 = resolver.sign, resolver.lam1
-    resolution = math.sqrt(resolver.grid.n_nodes) * np.finfo(float).eps \
+    lam1 = dirichlet_lambda1_exact(params.N)
+    resolution = math.sqrt(grid.n_nodes) * np.finfo(float).eps \
         * abs(target)
     goal = math.log(target - base)
     x_floor = math.log(1e-8 * max(lam1, 1.0))
@@ -368,7 +340,7 @@ def _point_where(resolver, level, target, base, start):
             lam = lam_at(x)
     last = None  # (x, log(level - base), its slope) of the last solve
     for _ in range(MAX_REFINEMENT_STEPS):
-        point = resolver.point(lam)
+        point = _solve_normalized(params, lam, sign, grid)
         value = getattr(point, level)
         miss = value - target
         if abs(miss) <= resolution:
@@ -381,7 +353,7 @@ def _point_where(resolver, level, target, base, start):
         step = math.nan
         if gap > 0.0:
             here = (x, math.log(gap), sign * math.exp(x)
-                    * getattr(resolver.tangent(lam), level) / gap)
+                    * getattr(_tangent(point), level) / gap)
             slope = here[2] if last is None else _checked_slope(last, here)
             if slope != 0.0:
                 step = (goal - here[1]) / slope
@@ -420,18 +392,21 @@ def point_at_alpha(params: ProblemParams, alpha_target: float, sign: int,
     `_point_where` marches to the target on log(alpha - lambda_1) against
     log s.  It starts at the lam of the endpoint expansion on the
     shooting grid (`solve_psi`, `ap_predict`), which near the endpoint
-    leaves about 3 solves.  Every lam is solved once and cold, through a
-    `_Resolver`, so the point is the one `trace` gives at its lam.
+    leaves about 3 solves.  Every lam is solved cold
+    (`_solve_normalized`), so the point is the one `trace` gives at its
+    lam.
     """
     config = config or ShootConfig()
     grid = make_grid(params, config.n_nodes, 1.0)
     lam1 = dirichlet_lambda1_exact(params.N)
-    if not alpha_target > lam1:
-        raise DomainError(f"alpha must exceed lambda_1 = {lam1:.6f}")
+    if not lam1 < alpha_target < math.inf:
+        raise DomainError(
+            f"alpha must be finite and exceed lambda_1 = {lam1:.6f}, "
+            f"got {alpha_target}")
     expansion = solve_psi(params, principal_eigenpair(params, grid))
     _, start, _ = ap_predict(expansion, alpha_target - lam1, sign)
-    return _point_where(_Resolver(params, sign, grid), "alpha", alpha_target,
-                        lam1, start)
+    return _point_where(params, sign, grid, "alpha", alpha_target, lam1,
+                        start)
 
 
 def find_mu_star(branch: Branch):
@@ -460,8 +435,10 @@ def find_mu_star(branch: Branch):
         )
     params = branch.params
     lo, best, hi = branch.points[j - 1:j + 2]
-    resolver = _Resolver(params, +1, best.profile.grid, known=(lo, best, hi))
-    g_lo, g_hi = resolver.tangent(lo.lam).mu, resolver.tangent(hi.lam).mu
+    grid = best.profile.grid
+    # each end's mu_lam, and the value Illinois gives it (halved while kept)
+    d_lo, d_hi = _tangent(lo).mu, _tangent(hi).mu
+    g_lo, g_hi = d_lo, d_hi
     if not g_lo > 0.0 > g_hi:
         raise SolverError("mu_lam keeps its sign around the traced maximum",
                           lam_lo=lo.lam, lam_hi=hi.lam, mu_lam_lo=g_lo,
@@ -470,17 +447,18 @@ def find_mu_star(branch: Branch):
     for _ in range(MAX_REFINEMENT_STEPS):
         if hi.alpha - lo.alpha <= 1e-4 * best.alpha:
             break
-        point = resolver.point((lo.lam * g_hi - hi.lam * g_lo) / (g_hi - g_lo))
-        g = resolver.tangent(point.lam).mu
+        point = _solve_normalized(
+            params, (lo.lam * g_hi - hi.lam * g_lo) / (g_hi - g_lo), +1, grid)
+        g = _tangent(point).mu
         best = max(best, point, key=lambda q: q.mu)
         # Illinois: an end kept twice in a row has its value halved
         if g > 0.0:
-            lo, g_lo = point, g
+            lo, d_lo, g_lo = point, g, g
             if moved < 0:
                 g_hi *= 0.5
             moved = -1
         else:
-            hi, g_hi = point, g
+            hi, d_hi, g_hi = point, g, g
             if moved > 0:
                 g_lo *= 0.5
             moved = +1
@@ -490,10 +468,10 @@ def find_mu_star(branch: Branch):
     # mu_lam's root lies O(h^2 lam) off the maximum of the shooting branch
     # (see `_tangent`); the vertex of the parabola through the bracket's
     # two mu values, curved like the tangents, does not
-    curvature = (resolver.tangent(hi.lam).mu - resolver.tangent(lo.lam).mu) \
-        / (hi.lam - lo.lam)
+    curvature = (d_hi - d_lo) / (hi.lam - lo.lam)
     secant = (hi.mu - lo.mu) / (hi.lam - lo.lam)
-    vertex = resolver.point(0.5 * (lo.lam + hi.lam) - secant / curvature)
+    vertex = _solve_normalized(
+        params, 0.5 * (lo.lam + hi.lam) - secant / curvature, +1, grid)
     best = max(best, vertex, key=lambda q: q.mu)
     rho_star = best.mu ** (2.0 / (params.p - 1.0))
     return best.mu, best.alpha, rho_star
@@ -513,11 +491,13 @@ def solutions_at_mass(branch: Branch, rho: float) -> list[BranchPoint]:
         raise ParameterError(f"mass must be positive, got {rho}")
     if branch.sign < 0:
         raise ParameterError("prescribed-mass selection lives on the focusing curve")
+    if not branch.points:
+        raise ParameterError("cannot select by mass on an empty branch")
     params = branch.params
     mu_target = rho ** ((params.p - 1.0) / 2.0)
     mus = branch.mus
     points = branch.points
-    resolver = _Resolver(params, +1, points[0].profile.grid, known=points)
+    grid = points[0].profile.grid
     out: list[BranchPoint] = []
     for i in range(len(mus) - 1):
         f0, f1 = mus[i] - mu_target, mus[i + 1] - mu_target
@@ -525,9 +505,9 @@ def solutions_at_mass(branch: Branch, rho: float) -> list[BranchPoint]:
             out.append(points[i])
             continue
         if f0 * f1 < 0.0:
-            out.append(_point_where(resolver, "mu", mu_target, 0.0,
+            out.append(_point_where(params, +1, grid, "mu", mu_target, 0.0,
                                     points[i:i + 2]))
-    if len(mus) >= 1 and mus[-1] == mu_target:
+    if mus[-1] == mu_target:
         out.append(points[-1])
     out.sort(key=lambda pt: pt.alpha)
     return out
@@ -574,7 +554,3 @@ def classify_stability(branch: Branch) -> Branch:
     )
     return replace(branch, points=new_points)
 
-
-def action_value(point: BranchPoint, mu: float, lam: float) -> float:
-    """J_{mu,lam}(u) = alpha/2 + lam/2 - mu M_alpha/(p+1) from stored scalars."""
-    return point.alpha / 2.0 + lam / 2.0 - mu * point.M_alpha / (point.params.p + 1.0)

@@ -23,7 +23,6 @@ from functools import cached_property, lru_cache
 from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
                                  FileFinder)
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 import scipy
@@ -73,6 +72,7 @@ def surface_measure(n_dim: int) -> float:
 
 
 def ball_volume(n_dim: int) -> float:
+    """|B_1| in R^N: omega_N / N."""
     return surface_measure(n_dim) / n_dim
 
 
@@ -90,8 +90,11 @@ def dirichlet_lambda1_exact(n_dim: int) -> float:
     sign of F down to adjacent floats.  The alternating terms cancel: the
     series at +t^2/4 bounds F's roundoff, and a SolverError is raised
     where that roundoff could move the root by more than 1e-10 relative
-    (N above about 40).
+    (N above about 40).  A dimension that is not an integer >= 1 raises
+    ParameterError.
     """
+    if not isinstance(n_dim, int) or n_dim < 1:
+        raise ParameterError(f"dimension must be an integer >= 1, got {n_dim!r}")
     nu = n_dim / 2.0 - 1.0
 
     def series(z):
@@ -381,15 +384,6 @@ def _dirichlet_profile(grid: RadialGrid, y: np.ndarray) -> RadialProfile:
     full = np.zeros(grid.n_nodes)
     full[: len(y)] = y
     return RadialProfile(grid, full, grid.operator.boundary_slope(full))
-
-
-def integrate(profile: RadialProfile, transform: Callable[[np.ndarray], np.ndarray]) -> float:
-    """omega_N * int_0^R g(u(r)) r^{N-1} dr for a pointwise map g."""
-    samples = np.asarray(transform(profile.values), dtype=float)
-    out = profile.grid.integrate(samples)
-    if not math.isfinite(out):
-        raise ArithmeticError("integral overflowed or is undefined")
-    return out
 
 
 def grad_norm_sq(profile: RadialProfile) -> float:

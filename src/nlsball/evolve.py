@@ -159,7 +159,8 @@ def evolve(initial: ComplexField, params: ProblemParams, dt: float, T: float,
     or its potential is no longer finite; the record it returns says which
     in `end_reason`, with the time reached as `blowup_time`.  A
     `SolverError` of the step's solve that is not about a non-finite input
-    propagates.
+    propagates.  The cap must be positive (it may be infinite), and a
+    `reference` must live on the field's grid.
     """
     if not (math.isfinite(dt) and math.isfinite(T)):
         raise ParameterError(f"dt and T must be finite, got {dt} and {T}")
@@ -167,8 +168,12 @@ def evolve(initial: ComplexField, params: ProblemParams, dt: float, T: float,
         raise ParameterError("need dt != 0 and T >= |dt|")
     if sample_every < 1:
         raise ParameterError("sample_every must be >= 1")
+    if blowup_cap is not None and not blowup_cap > 0.0:
+        raise ParameterError(f"blowup_cap must be positive, got {blowup_cap}")
     p = params.p
     grid = initial.grid
+    if reference is not None and reference.grid.n_nodes != grid.n_nodes:
+        raise ParameterError("field and reference live on different grids")
     op = grid.operator
     y = _interior(initial.values)
     mod = np.abs(y)  # |Phi^n|, shared by the cap check, potential and samples
@@ -261,8 +266,11 @@ def stability_probe(point: BranchPoint, delta: float, T: float,
     A run that leaves the perturbative regime entirely -- the blow-up cap
     is hit, or the field stops being finite -- ends early, and the record
     `evolve` returns says how (`end_reason`) and when (`blowup_time`): for
-    an instability probe that departure is the measurement.
+    an instability probe that departure is the measurement.  delta must be
+    finite.
     """
+    if not math.isfinite(delta):
+        raise ParameterError(f"delta must be finite, got {delta}")
     params = point.params
     U = discrete_standing_wave(point)
     grid = U.grid

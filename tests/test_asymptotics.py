@@ -183,6 +183,10 @@ class TestAPPredict:
             ap_predict(expansion_13, -1.0, +1)
         with pytest.raises(ParameterError):
             ap_predict(expansion_13, 1.0, 0)
+        # an infinite epsilon used to emit a RuntimeWarning
+        for eps in (math.inf, math.nan):
+            with pytest.raises(ParameterError, match="finite"):
+                ap_predict(expansion_13, eps, +1)
 
     @pytest.mark.parametrize("sign", [+1, -1])
     def test_against_branch(self, expansion_13, sign, cfg_fast):

@@ -16,7 +16,6 @@ from nlsball import (
     ProblemParams,
     ShootConfig,
     StabilityTag,
-    action_value,
     ap_predict,
     ball_volume,
     classify_stability,
@@ -244,6 +243,18 @@ class TestPointAtAlpha:
         with pytest.raises(DomainError):
             point_at_alpha(P13, math.nan, +1, cfg_fast)
 
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_infinite_target_rejected(self, monkeypatch, sign):
+        # an infinite target used to start at |lam| = 1e8 with an infinite
+        # resolution and return that first solve, on S+ an RK4 shot at
+        # lam = 1e8; now no solve is made
+        def refused(*args):
+            raise AssertionError("solved for an infinite target")
+
+        monkeypatch.setattr(branch_module, "_solve_normalized", refused)
+        with pytest.raises(DomainError, match="finite"):
+            point_at_alpha(P13, math.inf, sign, ShootConfig(n_nodes=257))
+
     @pytest.mark.parametrize("offset", [-1.0, 1.0])
     def test_unbracketed_target_rejected(self, cfg_fast, monkeypatch, offset):
         # alpha stays below the target up to |lam| = 1e8, or above it
@@ -321,6 +332,12 @@ class TestSolutionsAtMass:
             solutions_at_mass(branch_13, -1.0)
         with pytest.raises(ParameterError):
             solutions_at_mass(branch_defoc, 1.0)
+        # an empty branch used to end in an IndexError
+        empty = Branch(+1, P13, ())
+        with pytest.raises(ParameterError, match="empty"):
+            solutions_at_mass(empty, 1.0)
+        with pytest.raises(ParameterError, match="empty"):
+            least_energy_at_mass(empty, 1.0)
 
 
 class TestRefinementSolves:
@@ -569,26 +586,6 @@ class TestStability:
     def test_defocusing_unknown(self, branch_defoc):
         tagged = classify_stability(branch_defoc)
         assert all(pt.stability is StabilityTag.UNKNOWN for pt in tagged.points)
-
-
-class TestActionValue:
-    def test_zero_parameters(self, branch_13):
-        pt = branch_13.points[5]
-        assert action_value(pt, 0.0, 0.0) == pytest.approx(pt.alpha / 2.0)
-
-    def test_multiplier_identity_form(self, branch_13):
-        # at the point's own (mu, lam):  J = mu M (1/2 - 1/(p+1)) up to the
-        # multiplier-identity residual of the fixture grid
-        pt = branch_13.points[5]
-        J = action_value(pt, pt.mu, pt.lam)
-        target = pt.mu * pt.M_alpha * (0.5 - 1.0 / (P13.p + 1.0))
-        assert J == pytest.approx(target, rel=2e-5)
-
-    def test_combined_scalar_form(self, branch_13):
-        pt = branch_13.points[7]
-        J = action_value(pt, pt.mu, pt.lam)
-        target = (pt.alpha + pt.lam) / 2.0 - pt.mu * pt.M_alpha / (P13.p + 1.0)
-        assert J == pytest.approx(target, rel=1e-12)
 
 
 class TestDerivativeEstimates:

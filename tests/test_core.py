@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 import weakref
 from pathlib import Path
 
@@ -24,7 +25,6 @@ from nlsball import (
     ball_volume,
     dirichlet_lambda1_exact,
     grad_norm_sq,
-    integrate,
     make_grid,
     principal_eigenpair,
     surface_measure,
@@ -304,22 +304,14 @@ class TestIntegrate:
     def test_phi1_moments_1d(self):
         params = ProblemParams(1, 3.0)
         grid = make_grid(params, 4097, 1.0)
-        eig = principal_eigenpair(params, grid)
+        phi1 = principal_eigenpair(params, grid).phi1.values
         # phi_1 = cos(pi x / 2) on (-1, 1)
-        assert integrate(eig.phi1, np.square) == pytest.approx(1.0, abs=1e-10)
-        assert integrate(eig.phi1, lambda u: u**4) == pytest.approx(0.75, rel=1e-6)
+        assert grid.integrate(phi1**2) == pytest.approx(1.0, abs=1e-10)
+        assert grid.integrate(phi1**4) == pytest.approx(0.75, rel=1e-6)
 
     def test_zero_profile(self):
         grid = make_grid(ProblemParams(2, 3.0), 65, 1.0)
-        prof = RadialProfile(grid, np.zeros(65), 0.0)
-        assert integrate(prof, lambda u: u**3) == 0.0
-
-    def test_overflow_reported(self):
-        grid = make_grid(ProblemParams(1, 3.0), 65, 1.0)
-        prof = RadialProfile(grid, np.full(65, 500.0), 0.0)
-        with pytest.raises(ArithmeticError):
-            with np.errstate(over="ignore"):
-                integrate(prof, lambda u: np.exp(u**2))
+        assert grid.integrate(np.zeros(65)) == 0.0
 
 
 class TestGradNorm:
@@ -383,6 +375,12 @@ class TestEigenpair:
         # values, which the former jv scan gave to the last bit
         assert [dirichlet_lambda1_exact(N) for N in (1, 2, 3)] == [
             2.4674011002723395, 5.783185962946785, 9.869604401089358]
+
+    @pytest.mark.parametrize("N", [0, -1, 2.0, 1.5, "3", None])
+    def test_exact_helper_refuses_bad_dimension(self, N):
+        # N = 0 divided by zero and N = -1 returned 7.83
+        with pytest.raises(ParameterError, match="dimension"):
+            dirichlet_lambda1_exact(N)
 
     def test_exact_helper_refuses_lost_precision(self):
         # the series' alternating terms cancel ever more with the order:
@@ -466,3 +464,14 @@ def test_missing_lapack_module_raises(monkeypatch, tmp_path):
     with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack") as exc:
         _load_flapack()
     assert exc.value.name == "scipy.linalg._flapack"
+
+
+def test_public_surface():
+    # __all__ names the package's functions and types, no submodule, and
+    # a star import binds exactly those names
+    assert not [name for name in nlsball.__all__
+                if isinstance(getattr(nlsball, name), types.ModuleType)]
+    namespace = {}
+    exec("from nlsball import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(nlsball.__all__)

@@ -29,6 +29,7 @@ from nlsball.evolve import (
     evolve,
 )
 from nlsball import shoot
+from nlsball.core import RadialProfile
 from nlsball.errors import ParameterError, SolverError
 
 P13 = ProblemParams(N=1, p=3.0)
@@ -85,6 +86,15 @@ class TestEvolve:
             evolve(field, P13, 0.5, 0.1)
         with pytest.raises(ParameterError):
             evolve(field, P13, 1e-3, 1.0, sample_every=0)
+        # a nan cap used to be ignored, and a zero cap ended every run at
+        # its first step
+        for cap in (math.nan, 0.0):
+            with pytest.raises(ParameterError, match="blowup_cap"):
+                evolve(field, P13, 1e-3, 1.0, blowup_cap=cap)
+        # a reference on another grid used to fail in numpy broadcasting
+        other = RadialProfile(make_grid(P13, 513, 1.0), np.zeros(513), 0.0)
+        with pytest.raises(ParameterError, match="different grids"):
+            evolve(field, P13, 1e-3, 1.0, reference=other)
 
     @pytest.mark.parametrize("params", [P13, ProblemParams(N=3, p=2.5)])
     @pytest.mark.parametrize("dt", [1e-3, -2.5e-4])
@@ -298,8 +308,6 @@ class TestOrbitDistance:
         )
 
     def test_grid_mismatch(self, standing_wave):
-        from nlsball import make_grid
-        from nlsball.core import RadialProfile
         other = make_grid(P13, 513, 1.0)
         ref = RadialProfile(other, np.zeros(513), 0.0)
         field = ComplexField(standing_wave.grid,
@@ -363,6 +371,14 @@ class TestStabilityProbe:
         with pytest.raises(SolverError) as info:
             discrete_standing_wave(stable_point)
         assert info.value.diagnostics["residual"] > 0.0
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_nonfinite_delta_named(self, stable_point, delta):
+        # the perturbed field used to fail its boundary check instead
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ParameterError, match="delta"):
+                stability_probe(stable_point, delta, 1.0, 1e-3)
 
     def test_focusing_only(self, branch_defoc):
         with pytest.raises(ParameterError):
