@@ -107,7 +107,6 @@ def _sign_of(text: str) -> int:
 EIG_SCHEMA = {
     "N": (int, _MISSING),
     "n_nodes": (int, 16385),
-    "out": (str, None),
 }
 
 BRANCH_SCHEMA = {
@@ -118,15 +117,10 @@ BRANCH_SCHEMA = {
     "lambda_max": (float, _MISSING),
     "num_points": (int, 60),
     "n_nodes": (int, 2049),
-    "out": (str, None),
 }
 
 FIGURE1_SCHEMA = {
-    "alpha_max": (float, 1e4),
-    "num_points": (int, 80),
     "n_nodes": (int, 2049),
-    "R_max": (float, 20.0),
-    "out": (str, None),
 }
 
 VERIFY_SCHEMA = {
@@ -139,10 +133,6 @@ VERIFY_SCHEMA = {
     "n_nodes": (int, 2049),
     "l_max": (int, 3),
     "spectrum_points": (int, 4),
-    "pohozaev_tol": (float, 1e-5),
-    "pairing_tol": (float, 1e-3),
-    "m_prime_tol": (float, 1e-2),
-    "out": (str, None),
 }
 
 PROBE_SCHEMA = {
@@ -153,10 +143,13 @@ PROBE_SCHEMA = {
     "T": (float, 10.0),
     "dt": (float, 1e-3),
     "n_nodes": (int, 1025),
-    "sample_every": (int, 10),
-    "blowup_cap": (float, None),
-    "out": (str, None),
 }
+
+# the bars `verify` holds the residual maxima to: the Pohozaev identity,
+# the derivative pairings with the boundary-flux form of mu', and M'
+POHOZAEV_TOL = 1e-5
+PAIRING_TOL = 1e-3
+M_PRIME_TOL = 1e-2
 
 
 def cmd_eig(cfg, out_path):
@@ -213,18 +206,20 @@ def cmd_branch(cfg, out_path):
 
 
 def cmd_figure1(cfg, out_path):
-    """The paper's Figure 1, mu(alpha) on S+ for N = 3, p = 3, against
-    the large-alpha asymptote sqrt(3) ||Z||^2 / sqrt(alpha)."""
+    """The paper's Figure 1, mu(alpha) on S+ for N = 3, p = 3 and
+    alpha <= 1e4 (80 lambdas), against the large-alpha asymptote
+    sqrt(3) ||Z||^2 / sqrt(alpha), Z the ground state on the ball of
+    radius 20."""
+    alpha_max = 1e4
     params = ProblemParams(N=3, p=3.0)
     config = ShootConfig(n_nodes=cfg["n_nodes"])
-    Z = solve_whole_space(params, R_max=cfg["R_max"], config=config)
-    lam_hi = cfg["alpha_max"] / 2.75
-    lams = geometric_lambda_grid(params, -math.pi**2 + 0.4, lam_hi,
-                                 cfg["num_points"], sign=+1)
+    Z = solve_whole_space(params, R_max=20.0, config=config)
+    lams = geometric_lambda_grid(params, -math.pi**2 + 0.4, alpha_max / 2.75,
+                                 80, sign=+1)
     br = trace(params, lams, +1, config)
     rows = []
     for pt in br.points:
-        if pt.alpha > cfg["alpha_max"]:
+        if pt.alpha > alpha_max:
             continue
         asym = math.sqrt(3.0) * Z.mass / math.sqrt(pt.alpha)
         rows.append([pt.alpha, pt.mu, asym])
@@ -235,10 +230,11 @@ def cmd_figure1(cfg, out_path):
 def cmd_verify(cfg, out_path):
     """Trace the branch and report its identity residuals and, at
     `spectrum_points` points, the linearized spectrum's exact negative
-    counts and gap; exit 1 when a residual exceeds its tolerance (the
-    derivative pairings and the boundary-flux form of mu' against
-    `pairing_tol`) or a focusing Morse index differs from 1.  `SolverError`
-    (a branch without points, alpha stalling along it) exits 1 too.
+    counts and gap; exit 1 when a residual maximum exceeds its bar
+    (`POHOZAEV_TOL`; `PAIRING_TOL` for the derivative pairings and the
+    boundary-flux form of mu'; `M_PRIME_TOL`) or a focusing Morse index
+    differs from 1.  `SolverError` (a branch without points, alpha
+    stalling along it) exits 1 too.
     """
     sign = _sign_of(cfg["sign"])
     if cfg["spectrum_points"] < 0:
@@ -259,26 +255,6 @@ def cmd_verify(cfg, out_path):
             "total_negative": sp.total_negative,
             "min_abs_eigenvalue": sp.min_abs_eigenvalue,
         })
-    failures = []
-    if float(np.max(report.pohozaev_res)) > cfg["pohozaev_tol"]:
-        failures.append("pohozaev")
-    pairing_max = max(
-        float(np.max(report.orthogonality_res)),
-        float(np.max(report.grad_pairing_res)),
-        float(np.max(report.nonlinear_pairing_res)),
-        float(np.max(report.mu_prime_identity_res)),
-    )
-    if pairing_max > cfg["pairing_tol"]:
-        failures.append("derivative-pairing")
-    if float(np.max(report.boundary_flux_res)) > cfg["pairing_tol"]:
-        failures.append("boundary-flux")
-    if float(np.max(report.M_prime_res)) > cfg["m_prime_tol"]:
-        failures.append("M-prime")
-    if sign > 0:
-        for entry in spectra:
-            if entry["negative_counts"][0] != 1 or entry["total_negative"] != 1:
-                failures.append("morse-index")
-                break
     payload = {
         "N": cfg["N"],
         "p": cfg["p"],
@@ -294,9 +270,24 @@ def cmd_verify(cfg, out_path):
         "max_boundary_flux_res": float(np.max(report.boundary_flux_res)),
         "lambda_prime_min": float(np.min(report.lambda_primes)),
         "spectra": spectra,
-        "failures": failures,
-        "pass": not failures,
     }
+    failures = []
+    if payload["max_pohozaev_res"] > POHOZAEV_TOL:
+        failures.append("pohozaev")
+    pairing_max = max(payload[key] for key in (
+        "max_orthogonality_res", "max_grad_pairing_res",
+        "max_nonlinear_pairing_res", "max_mu_prime_identity_res"))
+    if pairing_max > PAIRING_TOL:
+        failures.append("derivative-pairing")
+    if payload["max_boundary_flux_res"] > PAIRING_TOL:
+        failures.append("boundary-flux")
+    if payload["max_M_prime_res"] > M_PRIME_TOL:
+        failures.append("M-prime")
+    if sign > 0 and any(entry["negative_counts"][0] != 1
+                        or entry["total_negative"] != 1 for entry in spectra):
+        failures.append("morse-index")
+    payload["failures"] = failures
+    payload["pass"] = not failures
     _emit(_json(payload), out_path)
     return 0 if not failures else 1
 
@@ -308,14 +299,11 @@ def cmd_probe(cfg, out_path):
     point = normalize(profile, cfg["lam"], +1, params)
     header = ["t", "mass", "energy", "orbit_distance"]
     rec = stability_probe(point, cfg["delta"], cfg["T"], cfg["dt"],
-                          sample_every=cfg["sample_every"],
-                          blowup_cap=cfg["blowup_cap"])
-    if rec.blowup_time is not None:
-        footer = [f"#blowup,t_hit={_fmt(rec.blowup_time)}"]
-        _emit(_csv(header, _probe_rows(rec), footer), out_path)
-        return 3
-    _emit(_csv(header, _probe_rows(rec)), out_path)
-    return 0
+                          sample_every=10)
+    blowup = rec.blowup_time is not None
+    footer = [f"#blowup,t_hit={_fmt(rec.blowup_time)}"] if blowup else []
+    _emit(_csv(header, _probe_rows(rec), footer), out_path)
+    return 3 if blowup else 0
 
 
 def _probe_rows(rec):
@@ -347,13 +335,12 @@ def main(argv=None) -> int:
     for name in COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="key = value config file")
-        sp.add_argument("--out", default=None, help="output path (overrides config)")
+        sp.add_argument("--out", default=None,
+                        help="output path (standard output if absent)")
     args = parser.parse_args(argv)
     schema, handler = COMMANDS[args.command]
     try:
-        cfg = _coerce(_parse_config(args.config), schema)
-        out_path = args.out if args.out is not None else cfg.get("out")
-        return handler(cfg, out_path)
+        return handler(_coerce(_parse_config(args.config), schema), args.out)
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2

@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import importlib.util
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -66,6 +67,20 @@ class Regime(Enum):
     SUPERCRITICAL = "supercritical"
 
 
+def _dimension(n_dim) -> int:
+    """n_dim as an int, if it is an integer >= 1 (numpy integers included,
+    `bool` not); ParameterError otherwise."""
+    if not isinstance(n_dim, bool):
+        try:
+            n = operator.index(n_dim)
+        except TypeError:
+            pass
+        else:
+            if n >= 1:
+                return n
+    raise ParameterError(f"dimension must be an integer >= 1, got {n_dim!r}")
+
+
 def surface_measure(n_dim: int) -> float:
     """|boundary of the unit ball| in R^N: 2 pi^{N/2} / Gamma(N/2)."""
     return 2.0 * math.pi ** (n_dim / 2.0) / math.gamma(n_dim / 2.0)
@@ -76,7 +91,8 @@ def ball_volume(n_dim: int) -> float:
     return surface_measure(n_dim) / n_dim
 
 
-@lru_cache(maxsize=None)
+# typed: True == 1 would otherwise hit 1's entry and skip the check
+@lru_cache(maxsize=None, typed=True)
 def dirichlet_lambda1_exact(n_dim: int) -> float:
     """First Dirichlet eigenvalue of -Laplace on the unit ball.
 
@@ -93,9 +109,7 @@ def dirichlet_lambda1_exact(n_dim: int) -> float:
     (N above about 40).  A dimension that is not an integer >= 1 raises
     ParameterError.
     """
-    if not isinstance(n_dim, int) or n_dim < 1:
-        raise ParameterError(f"dimension must be an integer >= 1, got {n_dim!r}")
-    nu = n_dim / 2.0 - 1.0
+    nu = _dimension(n_dim) / 2.0 - 1.0
 
     def series(z):
         term = total = 1.0
@@ -144,8 +158,7 @@ class ProblemParams:
     p: float
 
     def __post_init__(self):
-        if not isinstance(self.N, int) or self.N < 1:
-            raise ParameterError(f"dimension must be an integer >= 1, got {self.N!r}")
+        object.__setattr__(self, "N", _dimension(self.N))
         limit = self.sobolev_limit
         if not (1.0 < self.p < limit):
             raise ParameterError(

@@ -274,12 +274,9 @@ def stability_probe(point: BranchPoint, delta: float, T: float,
     params = point.params
     U = discrete_standing_wave(point)
     grid = U.grid
-    if delta != 0.0:
-        eig = principal_eigenpair(params, grid)
-        phase = delta * eig.phi1.values / float(np.max(eig.phi1.values))
-        values = (1.0 + delta) * U.values * np.exp(1j * phase)
-    else:
-        values = U.values.astype(complex)
+    eig = principal_eigenpair(params, grid)
+    phase = delta * eig.phi1.values / float(np.max(eig.phi1.values))
+    values = (1.0 + delta) * U.values * np.exp(1j * phase)
     initial = ComplexField(grid, values, 0.0)
     return evolve(initial, params, dt, T, sample_every=sample_every,
                   reference=U, blowup_cap=blowup_cap)

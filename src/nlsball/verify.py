@@ -24,6 +24,7 @@ import numpy as np
 from .branch import Branch, BranchDerivative, BranchPoint
 from .core import _flapack
 from .errors import ParameterError, SolverError
+from .evolve import discrete_standing_wave
 from .shoot import _linearized_shift
 
 
@@ -149,6 +150,8 @@ def linearized_spectrum(point: BranchPoint, l_max: int = 3) -> SpectrumReport:
     L_l = -d_rr - (N-1)/r d_r + l(l+N-2)/r^2 + lambda - p mu u^{p-1},
     Dirichlet at r = 1 and regularity at 0 (even symmetry for l = 0, a
     Dirichlet center condition for l >= 1, matching the r^l behavior).
+    On S+, mu u^{p-1} is U^{p-1} of the discrete standing wave U
+    (`evolve.discrete_standing_wave`, one Newton polish per call).
     Each sector's negative count is its exact inertia, however many
     eigenvalues are negative; the min |eigenvalue| is the nearer of the
     largest negative and the lowest nonnegative eigenvalue.  Both come from
@@ -174,15 +177,26 @@ def linearized_spectrum(point: BranchPoint, l_max: int = 3) -> SpectrumReport:
 def _sector_matrices(point: BranchPoint, l_max: int):
     """(l, diagonal, off-diagonal) of each sector's operator up to l_max
     (at most l = 1 for N = 1), symmetrized by the cell volumes; l >= 1
-    drops the center node."""
+    drops the center node.
+
+    The operator is linearized at a state of its own discretization: on
+    S+ (mu > 0) the discrete standing wave U, with potential
+    lambda - p U^{p-1}; the shooting profile misses it by O(h^2 lambda),
+    which at N = 3, p = 3, lambda = 3500, n = 2049 turned the l = 1
+    translation eigenvalue from +66.5 to -0.33.  S- points are
+    linearized at their profile, which is already one."""
     params = point.params
     N, p = params.N, params.p
     grid = point.profile.grid
     op = grid.operator
     diag, lower, vol = op.diag, op.lower, op.vol
     m = len(diag)
-    u = point.profile.values[:m]
-    potential = _linearized_shift(point.lam, point.mu, p, u)
+    if point.mu > 0.0:
+        U = discrete_standing_wave(point).values[:m]
+        potential = _linearized_shift(point.lam, 1.0, p, U)
+    else:
+        u = point.profile.values[:m]
+        potential = _linearized_shift(point.lam, point.mu, p, u)
     r = grid.nodes[:m]
     for ell in range((min(l_max, 1) if N == 1 else l_max) + 1):
         if ell == 0:

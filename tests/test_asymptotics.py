@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nlsball import (
@@ -154,6 +154,7 @@ class TestAPPredict:
     @given(N=st.sampled_from([1, 2, 3]), n=st.sampled_from([16, 257, 2049]),
            p_frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
            log_eps=st.floats(-8.0, 10.0), sign=st.sampled_from([+1, -1]))
+    @example(N=3, n=16, p_frac=0.9999999999999999, log_eps=0.0, sign=1)
     def test_prediction_leaves_the_endpoint(self, N, n, p_frac, log_eps,
                                             sign):
         # `point_at_alpha` starts at ap_predict's lam: c_ps = <(A -
@@ -161,9 +162,12 @@ class TestAPPredict:
         # N=1, p=1.01 up to 0.011 at N=3, p=4.9), so the predicted offset
         # from the grid's endpoint is finite and on the curve's side.  p
         # starts at 1.01: c_ps ~ 3.3e-3 (p - 1)^2 at N=1, whose digits go
-        # to roundoff as p -> 1 (2.9e-23 against 3.3e-23 at p - 1 = 1e-10)
+        # to roundoff as p -> 1 (2.9e-23 against 3.3e-23 at p - 1 = 1e-10).
+        # p_frac just below 1 rounds p up to p_max itself, so p is clamped
+        # to the float below it
         p_max = 9.0 if N < 3 else (N + 2.0) / (N - 2.0)  # 2* - 1 from N=3
-        params = ProblemParams(N, 1.01 + p_frac * (p_max - 1.01))
+        p = min(1.01 + p_frac * (p_max - 1.01), math.nextafter(p_max, 0.0))
+        params = ProblemParams(N, p)
         ap = solve_psi(params, principal_eigenpair(params,
                                                    make_grid(params, n, 1.0)))
         assert ap.c_ps > 0.0

@@ -41,6 +41,16 @@ class TestProblemParams:
         assert ProblemParams(3, 3.0).regime is Regime.SUPERCRITICAL
         assert ProblemParams(3, 2.0).regime is Regime.SUBCRITICAL
 
+    @pytest.mark.parametrize("N", [True, False])
+    def test_bool_dimension_refused(self, N):
+        # True passed as N = 1 and False failed only as N < 1
+        with pytest.raises(ParameterError, match="dimension"):
+            ProblemParams(N, 3.0)
+
+    def test_numpy_integer_dimension(self):
+        params = ProblemParams(np.int64(3), 3.0)
+        assert params.N == 3 and type(params.N) is int
+
     def test_sobolev_limit(self):
         assert ProblemParams(1, 9.0).sobolev_limit == math.inf
         assert ProblemParams(3, 3.0).sobolev_limit == pytest.approx(5.0)
@@ -376,11 +386,14 @@ class TestEigenpair:
         assert [dirichlet_lambda1_exact(N) for N in (1, 2, 3)] == [
             2.4674011002723395, 5.783185962946785, 9.869604401089358]
 
-    @pytest.mark.parametrize("N", [0, -1, 2.0, 1.5, "3", None])
+    @pytest.mark.parametrize("N", [0, -1, 2.0, 1.5, "3", None, True, False])
     def test_exact_helper_refuses_bad_dimension(self, N):
         # N = 0 divided by zero and N = -1 returned 7.83
         with pytest.raises(ParameterError, match="dimension"):
             dirichlet_lambda1_exact(N)
+
+    def test_exact_helper_takes_numpy_integers(self):
+        assert dirichlet_lambda1_exact(np.int64(3)) == dirichlet_lambda1_exact(3)
 
     def test_exact_helper_refuses_lost_precision(self):
         # the series' alternating terms cancel ever more with the order:

@@ -165,6 +165,15 @@ class TestSpectrum:
             for ew in sp.eigenvalues:
                 assert np.all(np.diff(ew) >= 0.0)
 
+    def test_translation_mode_positive_at_figure1_end(self):
+        # the last lambda of the Figure-1 window: linearized at the RK4
+        # profile, the l = 1 translation eigenvalue read -0.33, a second
+        # negative direction; at the discrete standing wave it is +66.5
+        prof = solve_ball_profile(P33, 3500.0, +1, ShootConfig(n_nodes=2049))
+        sp = linearized_spectrum(normalize(prof, 3500.0, +1, P33), l_max=3)
+        assert sp.negative_counts == (1, 0, 0, 0)
+        assert sp.eigenvalues[1][0] > 10.0
+
     def test_defocusing_no_negatives(self, branch_defoc):
         for pt in (branch_defoc.points[2], branch_defoc.points[-2]):
             sp = linearized_spectrum(pt, l_max=3)
