@@ -59,6 +59,8 @@ class TestConfigParsing:
         ("probe", dict(N=1, p=3.0, lam=1.0, T="inf", n_nodes=257)),
         ("probe", dict(N=1, p=3.0, lam=1.0, dt="nan", n_nodes=257)),
         ("probe", dict(N=1, p=3.0, lam="nan", n_nodes=257)),
+        ("figure1", dict(R_max="nan", n_nodes=257)),
+        ("figure1", dict(R_max="inf", n_nodes=257)),
         ("branch", dict(N=1, p=3.0, lambda_min=-2.0, lambda_max="inf",
                         num_points=4, n_nodes=257)),
         ("branch", dict(N=1, p=3.0, sign="defocusing", lambda_min=-2.6,
@@ -66,14 +68,16 @@ class TestConfigParsing:
         ("probe", dict(N=1, p=3.0, lam=1.0, delta="nan", n_nodes=257)),
         ("probe", dict(N=1, p=3.0, lam=1.0, delta="inf", n_nodes=257)),
     ], ids=["negative-num_points", "negative-spectrum_points", "infinite-T",
-            "nan-dt", "nan-lam", "infinite-lambda_max",
-            "negative-infinite-lambda_max", "nan-delta", "infinite-delta"])
+            "nan-dt", "nan-lam", "nan-R_max", "infinite-R_max",
+            "infinite-lambda_max", "negative-infinite-lambda_max",
+            "nan-delta", "infinite-delta"])
     def test_bad_parameter_exits_2(self, tmp_path, capsys, command, values):
         # each of these used to end in an uncaught ValueError or
         # OverflowError from numpy or math, or, for an infinite lambda
         # window end, in exit 0 with every solve past it failed; a
         # non-finite delta was reported as a field that does not vanish
-        # at the boundary
+        # at the boundary.  figure1 fixes R_max at 20 now, so a non-finite
+        # R_max is refused as a key it does not take
         cfg = write_cfg(tmp_path / "c.cfg", **values)
         assert main([command, "--config", cfg]) == 2
         assert "parameter error" in capsys.readouterr().err
