@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .core import (EigenPair, ProblemParams, RadialProfile, _dirichlet_profile,
-                   ball_volume)
+                   _same_dimension, ball_volume)
 from .errors import DomainError, ParameterError, SolverError
 from .shoot import WholeSpaceGroundState, rescaled_profile
 
@@ -76,9 +76,10 @@ def solve_psi(params: ProblemParams, eig: EigenPair) -> APExpansion:
     (one more tridiagonal solve) brings the residual down to the rounding
     floor of evaluating it (`RadialOperator.roundoff_floor`); the solve
     is refused when the residual exceeds 1e-8 max(1, max|rhs|) plus that
-    floor.
+    floor.  `params` must be set in the eigenpair's dimension.
     """
     grid = eig.phi1.grid
+    _same_dimension(params, grid.n_dim)
     op = grid.operator
     vol = op.vol
     m = len(vol)
@@ -150,7 +151,9 @@ def ap_predict(exp: APExpansion, epsilon: float, sign: int):
 
 def large_alpha_diagnostics(point: BranchPoint,
                             Z: WholeSpaceGroundState) -> LargeAlphaDiagnostics:
-    """Compare a focusing point against the blow-up limit laws."""
+    """Compare a focusing point against the blow-up limit laws of the
+    ground state Z of the same dimension."""
+    _same_dimension(point.params, Z.params.N)
     if point.mu <= 0.0:
         raise DomainError("large-alpha laws address the focusing curve")
     if point.lam <= 0.0:

@@ -297,23 +297,14 @@ def cmd_probe(cfg, out_path):
     config = ShootConfig(n_nodes=cfg["n_nodes"])
     profile = solve_ball_profile(params, cfg["lam"], +1, config)
     point = normalize(profile, cfg["lam"], +1, params)
-    header = ["t", "mass", "energy", "orbit_distance"]
-    rec = stability_probe(point, cfg["delta"], cfg["T"], cfg["dt"],
-                          sample_every=10)
-    blowup = rec.blowup_time is not None
-    footer = [f"#blowup,t_hit={_fmt(rec.blowup_time)}"] if blowup else []
-    _emit(_csv(header, _probe_rows(rec), footer), out_path)
+    rec = stability_probe(point, cfg["delta"], cfg["T"], cfg["dt"])
+    rows = zip(rec.times, rec.mass_history, rec.energy_history,
+               rec.orbit_distance_history)
+    blowup = rec.end_reason != "completed"
+    footer = [f"#blowup,t_hit={_fmt(rec.final.time)}"] if blowup else []
+    _emit(_csv(["t", "mass", "energy", "orbit_distance"], rows, footer),
+          out_path)
     return 3 if blowup else 0
-
-
-def _probe_rows(rec):
-    rows = []
-    for k in range(len(rec.times)):
-        dist = rec.orbit_distance_history[k] \
-            if rec.orbit_distance_history is not None else None
-        rows.append([rec.times[k], rec.mass_history[k],
-                     rec.energy_history[k], dist])
-    return rows
 
 
 COMMANDS = {

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .errors import ParameterError, SolverError
+from .errors import NonFiniteError, ParameterError, SolverError
 
 # inverse power iteration of `principal_eigenpair`: the step budget and the
 # Rayleigh-quotient residual it must end below, relative to max|diag A|
@@ -67,18 +67,27 @@ class Regime(Enum):
     SUPERCRITICAL = "supercritical"
 
 
-def _dimension(n_dim) -> int:
-    """n_dim as an int, if it is an integer >= 1 (numpy integers included,
-    `bool` not); ParameterError otherwise."""
-    if not isinstance(n_dim, bool):
+def _positive_int(value, what: str) -> int:
+    """value as an int, if it is an integer >= 1 (numpy integers included,
+    `bool` not); ParameterError naming `what` otherwise."""
+    if not isinstance(value, bool):
         try:
-            n = operator.index(n_dim)
+            n = operator.index(value)
         except TypeError:
             pass
         else:
             if n >= 1:
                 return n
-    raise ParameterError(f"dimension must be an integer >= 1, got {n_dim!r}")
+    raise ParameterError(f"{what} must be an integer >= 1, got {value!r}")
+
+
+def _same_dimension(params: ProblemParams, n_dim: int) -> None:
+    """ParameterError unless `params` is set in dimension n_dim, the
+    dimension of the data it is used with (a grid's `n_dim`, or the N of
+    a second ProblemParams)."""
+    if params.N != n_dim:
+        raise ParameterError(
+            f"params are set for N={params.N}, the data for N={n_dim}")
 
 
 def surface_measure(n_dim: int) -> float:
@@ -109,7 +118,7 @@ def dirichlet_lambda1_exact(n_dim: int) -> float:
     (N above about 40).  A dimension that is not an integer >= 1 raises
     ParameterError.
     """
-    nu = _dimension(n_dim) / 2.0 - 1.0
+    nu = _positive_int(n_dim, "dimension") / 2.0 - 1.0
 
     def series(z):
         term = total = 1.0
@@ -158,7 +167,7 @@ class ProblemParams:
     p: float
 
     def __post_init__(self):
-        object.__setattr__(self, "N", _dimension(self.N))
+        object.__setattr__(self, "N", _positive_int(self.N, "dimension"))
         limit = self.sobolev_limit
         if not (1.0 < self.p < limit):
             raise ParameterError(
@@ -299,9 +308,9 @@ class RadialOperator:
 
         One LAPACK ?gtsv call (partial pivoting) on the stored bands:
         zgtsv when the shifted diagonal or rhs is complex, dgtsv otherwise.
-        Raises SolverError when the shifted diagonal or rhs is not finite
-        (`index` names the unknown, `value` the first bad entry), or when
-        the system is singular.
+        Raises NonFiniteError when the shifted diagonal or rhs is not
+        finite (`index` names the unknown, `value` the first bad entry),
+        and SolverError when the system is singular.
         """
         d = self.diag + shift
         for name, values in (("shift", d), ("rhs", rhs)):
@@ -312,10 +321,10 @@ class RadialOperator:
             finite = np.isfinite(values)
             if not finite.all():
                 flat = int(np.argmin(finite))  # row-major over columns
-                raise SolverError(f"tridiagonal solve: {name} not finite",
-                                  array=name,
-                                  index=flat // (values.size // len(values)),
-                                  value=values.flat[flat].item())
+                raise NonFiniteError(f"tridiagonal solve: {name} not finite",
+                                     array=name,
+                                     index=flat // (values.size // len(values)),
+                                     value=values.flat[flat].item())
         gtsv = (_flapack.zgtsv if np.iscomplexobj(d) or np.iscomplexobj(rhs)
                 else _flapack.dgtsv)
         # d is ours to overwrite; the bands and rhs are copied by the wrapper
@@ -415,7 +424,9 @@ class EigenPair:
 
 def principal_eigenpair(params: ProblemParams, grid: RadialGrid) -> EigenPair:
     """Smallest eigenvalue of the radial Dirichlet Laplacian on the grid,
-    computed once per grid (`RadialGrid.principal_mode`)."""
+    computed once per grid (`RadialGrid.principal_mode`).  `params` must
+    be set in the grid's dimension."""
+    _same_dimension(params, grid.n_dim)
     theta, values, slope = grid.principal_mode
     return EigenPair(lambda1=theta, phi1=RadialProfile(grid, values, slope))
 

@@ -3,7 +3,8 @@
 The CLI maps these onto exit codes: parameter/domain problems exit 2,
 numeric failures exit 1.  A blow-up is no error: an evolution that hits
 its cap or stops being finite ends, and its record says so
-(`EvolutionRecord.end_reason`); the CLI's `probe` exits 3 on it.
+(`EvolutionRecord.end_reason`, from a `NonFiniteError` of the step's solve
+in the second case); the CLI's `probe` exits 3 on it.
 """
 
 
@@ -29,6 +30,11 @@ class SolverError(NlsBallError):
     def __init__(self, message, **diagnostics):
         super().__init__(message)
         self.diagnostics = dict(diagnostics)
+
+
+class NonFiniteError(SolverError):
+    """A tridiagonal solve received a non-finite input; `array` names it
+    ("shift" or "rhs"), `index` the unknown and `value` the entry."""
 
 
 class BracketError(SolverError):

@@ -31,8 +31,10 @@ exact discrete rotation.
 
 A run ends in one of three ways, recorded as `EvolutionRecord.end_reason`:
 "completed" (the whole span was evolved), "blowup_cap" (sup|Phi| exceeded
-the cap) or "nonfinite" (the field or its potential overflowed, so the
-next step could not be taken).  The probe is one-sided evidence only: it
+DEFAULT_BLOWUP_FACTOR times its initial value) or "nonfinite" (the field
+or its potential overflowed, so the step's solve raised NonFiniteError
+and the next step could not be taken); the record's final field carries
+the time the run ended.  The probe is one-sided evidence only: it
 perturbs one standing wave along one direction, nothing more.
 """
 
@@ -49,9 +51,11 @@ from .core import (
     RadialGrid,
     RadialProfile,
     _dirichlet_profile,
+    _positive_int,
+    _same_dimension,
     principal_eigenpair,
 )
-from .errors import ParameterError, SolverError
+from .errors import NonFiniteError, ParameterError, SolverError
 from .shoot import _newton
 
 DEFAULT_BLOWUP_FACTOR = 25.0
@@ -82,7 +86,7 @@ class EvolutionRecord:
     """Sampled conservation and orbit-distance histories.
 
     `end_reason` says why the run ended: "completed", "blowup_cap" or
-    "nonfinite"; `blowup_time` is set for the latter two.
+    "nonfinite"; `final.time` is when it ended.
     """
 
     times: np.ndarray
@@ -90,7 +94,6 @@ class EvolutionRecord:
     energy_history: np.ndarray
     orbit_distance_history: np.ndarray | None
     final: ComplexField
-    blowup_time: float | None = None
     end_reason: str = "completed"
 
 
@@ -149,39 +152,41 @@ def orbit_distance(field: ComplexField, U: RadialProfile) -> float:
 
 
 def evolve(initial: ComplexField, params: ProblemParams, dt: float, T: float,
-           sample_every: int = 10, reference: RadialProfile | None = None,
-           blowup_cap: float | None = None) -> EvolutionRecord:
+           sample_every: int = 10,
+           reference: RadialProfile | None = None) -> EvolutionRecord:
     """Relaxation evolution over [0, T] with step dt.
 
-    dt may be negative (backward evolution); T is the total evolved span.
-    Histories are sampled every `sample_every` steps plus the endpoints.
-    The run stops early where sup|Phi| exceeds the cap, or where the field
-    or its potential is no longer finite; the record it returns says which
-    in `end_reason`, with the time reached as `blowup_time`.  A
-    `SolverError` of the step's solve that is not about a non-finite input
-    propagates.  The cap must be positive (it may be infinite), and a
-    `reference` must live on the field's grid.
+    dt may be negative (backward evolution); T is the total evolved span
+    and must be a whole number of steps |dt| (to 1e-9 relative).
+    Histories are sampled every `sample_every` steps (an integer >= 1)
+    plus the endpoints.  The run stops early where sup|Phi| exceeds
+    DEFAULT_BLOWUP_FACTOR times its initial value, or where the field or
+    its potential is no longer finite; the record it returns says which in
+    `end_reason`, and `final.time` is the time reached.  Any other
+    `SolverError` of the step's solve propagates.  `params` must be set
+    in the field's dimension, and a `reference` must live on its grid.
     """
     if not (math.isfinite(dt) and math.isfinite(T)):
         raise ParameterError(f"dt and T must be finite, got {dt} and {T}")
     if dt == 0.0 or T < abs(dt):
         raise ParameterError("need dt != 0 and T >= |dt|")
-    if sample_every < 1:
-        raise ParameterError("sample_every must be >= 1")
-    if blowup_cap is not None and not blowup_cap > 0.0:
-        raise ParameterError(f"blowup_cap must be positive, got {blowup_cap}")
+    steps = T / abs(dt)  # inf where the quotient overflows
+    if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * steps):
+        raise ParameterError(
+            f"T = {T} is not a whole number of steps |dt| = {abs(dt)}")
+    n_steps = round(steps)
+    sample_every = _positive_int(sample_every, "sample_every")
     p = params.p
     grid = initial.grid
+    _same_dimension(params, grid.n_dim)
     if reference is not None and reference.grid.n_nodes != grid.n_nodes:
         raise ParameterError("field and reference live on different grids")
     op = grid.operator
     y = _interior(initial.values)
     mod = np.abs(y)  # |Phi^n|, shared by the cap check, potential and samples
-    cap = blowup_cap if blowup_cap is not None else \
-        DEFAULT_BLOWUP_FACTOR * float(np.max(mod) + 1e-300)
+    cap = DEFAULT_BLOWUP_FACTOR * float(np.max(mod) + 1e-300)
     weights = None if reference is None else _reference_weights(grid, reference)
 
-    n_steps = int(round(T / abs(dt)))
     times, masses, energies = [], [], []
     dists = None if weights is None else []
 
@@ -208,11 +213,9 @@ def evolve(initial: ComplexField, params: ProblemParams, dt: float, T: float,
         pot = 2.0 * mod ** (p - 1.0) - pot
         try:
             y = op.solve(shift - pot, scale * y) - y
-        except SolverError as exc:
+        except NonFiniteError:
             # the solve's screen of its inputs is the step's only one: V,
             # Phi^n or the right-hand side -(4i/dt) Phi^n is not finite
-            if "array" not in exc.diagnostics:
-                raise
             end_reason = "nonfinite"
             break
         t = initial.time + step * dt
@@ -231,7 +234,6 @@ def evolve(initial: ComplexField, params: ProblemParams, dt: float, T: float,
         energy_history=np.array(energies),
         orbit_distance_history=None if dists is None else np.array(dists),
         final=ComplexField(grid, full, float(t)),
-        blowup_time=None if end_reason == "completed" else float(t),
         end_reason=end_reason,
     )
 
@@ -255,8 +257,7 @@ def discrete_standing_wave(point: BranchPoint) -> RadialProfile:
 
 
 def stability_probe(point: BranchPoint, delta: float, T: float,
-                    dt: float, sample_every: int = 20,
-                    blowup_cap: float | None = None) -> EvolutionRecord:
+                    dt: float, sample_every: int = 10) -> EvolutionRecord:
     """Evolve a perturbed standing wave and record its orbit distance.
 
     The initial field is (1 + delta) U exp(i delta phi_1 / max phi_1):
@@ -265,7 +266,7 @@ def stability_probe(point: BranchPoint, delta: float, T: float,
 
     A run that leaves the perturbative regime entirely -- the blow-up cap
     is hit, or the field stops being finite -- ends early, and the record
-    `evolve` returns says how (`end_reason`) and when (`blowup_time`): for
+    `evolve` returns says how (`end_reason`) and when (`final.time`): for
     an instability probe that departure is the measurement.  delta must be
     finite.
     """
@@ -279,4 +280,4 @@ def stability_probe(point: BranchPoint, delta: float, T: float,
     values = (1.0 + delta) * U.values * np.exp(1j * phase)
     initial = ComplexField(grid, values, 0.0)
     return evolve(initial, params, dt, T, sample_every=sample_every,
-                  reference=U, blowup_cap=blowup_cap)
+                  reference=U)

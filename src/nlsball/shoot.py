@@ -44,6 +44,7 @@ from .core import (
     ProblemParams,
     RadialProfile,
     _dirichlet_profile,
+    _same_dimension,
     dirichlet_lambda1_exact,
     grad_norm_sq,
     make_grid,
@@ -587,8 +588,10 @@ def rescaled_profile(point_profile: RadialProfile, lam: float, mu: float,
     """Blow-up rescaling v(x) = (mu/lam)^{1/(p-1)} u(x / sqrt(lam)).
 
     The result lives on the dilated grid of radius sqrt(lam) * R and solves
-    -Delta v + v = v^p up to the Dirichlet truncation.
+    -Delta v + v = v^p up to the Dirichlet truncation.  `params` must be
+    set in the profile's dimension.
     """
+    _same_dimension(params, point_profile.grid.n_dim)
     if lam <= 0.0 or mu <= 0.0:
         raise DomainError("rescaling requires lam > 0 and mu > 0")
     fac = (mu / lam) ** (1.0 / (params.p - 1.0))

@@ -148,6 +148,12 @@ class TestSolvePsi:
         with pytest.raises(SolverError, match="lost accuracy"):
             solve_psi(params, eig)
 
+    def test_params_of_another_dimension_refused(self):
+        # solve_psi never read params.N
+        eig = principal_eigenpair(P33, make_grid(P33, 257, 1.0))
+        with pytest.raises(ParameterError, match="N=1, the data for N=3"):
+            solve_psi(P13, eig)
+
 
 class TestAPPredict:
     @settings(max_examples=30, deadline=None)
@@ -252,6 +258,13 @@ class TestLargeAlpha:
         assert d.ratio_err < 0.03
         assert d.mu_limit_err < 0.03  # mu sqrt(lam) vs mass(Z)
         assert d.profile_err < 0.02
+
+    def test_ground_state_of_another_dimension_refused(self, branch_33,
+                                                       ground_state_13):
+        # an N=3 point against the N=1 ground state used to read
+        # mu_limit_err 3.72 and profile_err 2.92
+        with pytest.raises(ParameterError, match="N=3, the data for N=1"):
+            large_alpha_diagnostics(branch_33.points[-1], ground_state_13)
 
     def test_regime_guard(self, cfg_fast, ground_state_13):
         prof = solve_ball_profile(P13, -1.0, +1, cfg_fast)

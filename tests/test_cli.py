@@ -67,17 +67,22 @@ class TestConfigParsing:
                         lambda_max="-inf", num_points=4, n_nodes=257)),
         ("probe", dict(N=1, p=3.0, lam=1.0, delta="nan", n_nodes=257)),
         ("probe", dict(N=1, p=3.0, lam=1.0, delta="inf", n_nodes=257)),
+        ("probe", dict(N=1, p=3.0, lam=1.0, T=1.0, dt=0.3, n_nodes=257)),
+        ("probe", dict(N=1, p=3.0, lam=1.0, T=1e200, dt=1e-200,
+                       n_nodes=257)),
     ], ids=["negative-num_points", "negative-spectrum_points", "infinite-T",
             "nan-dt", "nan-lam", "nan-R_max", "infinite-R_max",
             "infinite-lambda_max", "negative-infinite-lambda_max",
-            "nan-delta", "infinite-delta"])
+            "nan-delta", "infinite-delta", "T-not-whole-steps",
+            "overflowing-step-count"])
     def test_bad_parameter_exits_2(self, tmp_path, capsys, command, values):
         # each of these used to end in an uncaught ValueError or
         # OverflowError from numpy or math, or, for an infinite lambda
         # window end, in exit 0 with every solve past it failed; a
         # non-finite delta was reported as a field that does not vanish
         # at the boundary.  figure1 fixes R_max at 20 now, so a non-finite
-        # R_max is refused as a key it does not take
+        # R_max is refused as a key it does not take.  T = 1.0 at dt = 0.3
+        # ran 3 steps to t = 0.9, and T / dt = 1e400 raised OverflowError
         cfg = write_cfg(tmp_path / "c.cfg", **values)
         assert main([command, "--config", cfg]) == 2
         assert "parameter error" in capsys.readouterr().err

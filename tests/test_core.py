@@ -30,7 +30,7 @@ from nlsball import (
     surface_measure,
 )
 from nlsball.core import RadialProfile, _load_flapack
-from nlsball.errors import ParameterError, SolverError
+from nlsball.errors import NonFiniteError, ParameterError, SolverError
 
 
 class TestProblemParams:
@@ -230,7 +230,7 @@ class TestRadialOperator:
         op = make_grid(ProblemParams(3, 3.0), 16, 1.0).operator
         rhs = np.ones((len(op.diag), 3))
         rhs[9, 2] = math.inf
-        with pytest.raises(SolverError) as exc:
+        with pytest.raises(NonFiniteError) as exc:
             op.solve(1.0, rhs)
         assert exc.value.diagnostics == {"array": "rhs", "index": 9,
                                          "value": math.inf}
@@ -246,7 +246,7 @@ class TestRadialOperator:
         rhs = np.ones(m, dtype)
         named = {"shift": shift, "rhs": rhs}
         named[array][index] = bad
-        with pytest.raises(SolverError) as exc:
+        with pytest.raises(NonFiniteError) as exc:
             op.solve(shift, rhs)
         diag = exc.value.diagnostics
         assert diag["array"] == array and diag["index"] == index
@@ -415,6 +415,12 @@ class TestEigenpair:
         eig = principal_eigenpair(params, grid)
         ratio = grad_norm_sq(eig.phi1) / (eig.lambda1 * eig.phi1.l2_norm_sq())
         assert abs(ratio - 1.0) < 1e-6
+
+    def test_params_of_another_dimension_refused(self):
+        # N=1 params used to return the N=3 grid's lambda_1, 9.8672
+        grid = make_grid(ProblemParams(3, 3.0), 257, 1.0)
+        with pytest.raises(ParameterError, match="N=1, the data for N=3"):
+            principal_eigenpair(ProblemParams(1, 3.0), grid)
 
     def test_computed_once_per_grid(self):
         params = ProblemParams(1, 3.0)

@@ -23,6 +23,7 @@ from nlsball import (
     stability_probe,
 )
 from nlsball.evolve import (
+    DEFAULT_BLOWUP_FACTOR,
     _grad_form,
     _mass,
     discrete_standing_wave,
@@ -86,11 +87,19 @@ class TestEvolve:
             evolve(field, P13, 0.5, 0.1)
         with pytest.raises(ParameterError):
             evolve(field, P13, 1e-3, 1.0, sample_every=0)
-        # a nan cap used to be ignored, and a zero cap ended every run at
-        # its first step
-        for cap in (math.nan, 0.0):
-            with pytest.raises(ParameterError, match="blowup_cap"):
-                evolve(field, P13, 1e-3, 1.0, blowup_cap=cap)
+        # a span that is not a whole number of steps used to be rounded:
+        # T = 1.0 at dt = 0.3 ended completed at t = 0.9, and T = 0.35 at
+        # dt = 0.1 at t = 0.3
+        for dt, T in ((0.3, 1.0), (0.1, 0.35), (-0.1, 0.35), (1e-200, 1e200)):
+            with pytest.raises(ParameterError, match="whole number"):
+                evolve(field, P13, dt, T)
+        # sample_every = 2.5 passed the >= 1 guard and sampled every 5 steps
+        for every in (2.5, True):
+            with pytest.raises(ParameterError, match="sample_every"):
+                evolve(field, P13, 1e-3, 1.0, sample_every=every)
+        # evolve never read params.N: N=3 params ran the N=1 field
+        with pytest.raises(ParameterError, match="N=3, the data for N=1"):
+            evolve(field, P33, 1e-3, 1.0)
         # a reference on another grid used to fail in numpy broadcasting
         other = RadialProfile(make_grid(P13, 513, 1.0), np.zeros(513), 0.0)
         with pytest.raises(ParameterError, match="different grids"):
@@ -208,26 +217,34 @@ class TestEvolve:
                               back.final.values[:-1] - field.values[:-1]))
         assert err < 1e-6
 
-    def test_blowup_cap(self, standing_wave):
-        field = ComplexField(standing_wave.grid,
-                             standing_wave.values.astype(complex), 0.0)
-        cap = 0.5 * float(np.max(np.abs(field.values)))
-        rec = evolve(field, P13, 1e-3, 1.0, blowup_cap=cap)
-        assert rec.blowup_time is not None
+    def test_blowup_cap(self):
+        # a negative-energy field of the supercritical N=3, p=3 problem
+        # blows up; the run ends at the first step where sup|Phi| passes
+        # DEFAULT_BLOWUP_FACTOR times its initial value
+        grid = make_grid(P33, 257, 1.0)
+        phi = principal_eigenpair(P33, grid).phi1.values
+        field = ComplexField(grid, (10.0 / phi.max() * phi).astype(complex),
+                             0.0)
+        rec = evolve(field, P33, 1e-4, 1.0, sample_every=100)
+        assert rec.energy_history[0] < 0.0
         assert rec.end_reason == "blowup_cap"
-        assert rec.blowup_time <= 1.0
+        assert rec.final.time == rec.times[-1] == pytest.approx(0.023)
+        peak = float(np.max(np.abs(rec.final.values)))
+        assert DEFAULT_BLOWUP_FACTOR * 10.0 < peak < math.inf
+        assert abs(rec.mass_history[-1] / rec.mass_history[0] - 1.0) < 1e-12
 
     def test_overflow_ends_as_nonfinite(self, standing_wave):
-        # 2 |Phi|^2 overflows in the first potential update; without a cap
-        # the run must still end typed, with the finite initial state
+        # 2 |Phi|^2 overflows in the first potential update, before the cap
+        # is checked; the run must still end typed, with the finite initial
+        # state
         eig = principal_eigenpair(P13, standing_wave.grid)
         vals = 1e154 * eig.phi1.values.astype(complex)
         vals[-1] = 0.0
         field = ComplexField(standing_wave.grid, vals, 0.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            rec = evolve(field, P13, 1e-3, 1.0, blowup_cap=float("inf"))
+            rec = evolve(field, P13, 1e-3, 1.0)
         assert rec.end_reason == "nonfinite"
-        assert rec.blowup_time == 0.0
+        assert rec.final.time == 0.0
         assert np.array_equal(rec.final.values, field.values)
 
     def test_rhs_overflow_ends_as_nonfinite(self):
@@ -238,10 +255,9 @@ class TestEvolve:
         vals = np.zeros(65, complex)
         vals[:-1] = 1e306
         with np.errstate(over="ignore", invalid="ignore"):
-            rec = evolve(ComplexField(grid, vals, 0.0), params, 1e-3, 1.0,
-                         blowup_cap=float("inf"))
+            rec = evolve(ComplexField(grid, vals, 0.0), params, 1e-3, 1.0)
         assert rec.end_reason == "nonfinite"
-        assert rec.blowup_time == 0.0
+        assert rec.final.time == 0.0
 
     @settings(max_examples=30, deadline=None)
     @given(N=st.sampled_from([1, 2, 3]),
@@ -320,7 +336,7 @@ class TestStabilityProbe:
     def test_unperturbed_floor(self, stable_point):
         rec = stability_probe(stable_point, 0.0, 4.0, 1e-3, sample_every=200)
         assert np.max(rec.orbit_distance_history) < 1e-4
-        assert rec.blowup_time is None
+        assert rec.end_reason == "completed"
 
     def test_standing_wave_is_exact_rotation(self, stable_point):
         # |U| is constant along the orbit, so the relaxed potential is exact
@@ -345,7 +361,7 @@ class TestStabilityProbe:
         rec = stability_probe(stable_point, 1e-3, 10.0, 2e-3, sample_every=200)
         assert np.max(rec.orbit_distance_history) < 1e-2
         assert rec.end_reason == "completed"
-        assert rec.blowup_time is None
+        assert rec.final.time == pytest.approx(10.0)
 
     def test_supercritical_departure(self, supercritical_point):
         rec = stability_probe(supercritical_point, 1e-3, 50.0, 2.5e-4,
@@ -353,7 +369,7 @@ class TestStabilityProbe:
         d = rec.orbit_distance_history
         assert np.max(d) / d[0] >= 10.0
         assert rec.end_reason == "blowup_cap"
-        assert rec.blowup_time == pytest.approx(0.155)
+        assert rec.final.time == pytest.approx(0.155)
 
     def test_small_delta_reaches_cap_warning_free(self, supercritical_point):
         # the field grows longer before the cap than at delta = 1e-3; no
@@ -363,7 +379,7 @@ class TestStabilityProbe:
             rec = stability_probe(supercritical_point, 5.61e-4, 50.0, 2.5e-4,
                                   sample_every=40)
         assert rec.end_reason == "blowup_cap"
-        assert rec.blowup_time == pytest.approx(0.173)
+        assert rec.final.time == pytest.approx(0.173)
         assert np.all(np.isfinite(rec.final.values))
 
     def test_polish_failure_is_typed(self, stable_point, monkeypatch):

@@ -383,6 +383,13 @@ class TestRescaling:
         with pytest.raises(DomainError):
             rescaled_profile(prof, 1.0, -1.0, P13)
 
+    def test_params_of_another_dimension_refused(self, branch_33):
+        # the dilated grid was built from params.N: an N=3 profile with
+        # N=1 params came back on an N=1 grid
+        pt = branch_33.points[-1]
+        with pytest.raises(ParameterError, match="N=1, the data for N=3"):
+            rescaled_profile(pt.profile, pt.lam, pt.mu, P13)
+
     def test_limit_profile(self, cfg_fine, ground_state_13):
         from nlsball import normalize
         prof = solve_ball_profile(P13, 1e4, +1, cfg_fine)
